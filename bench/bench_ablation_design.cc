@@ -12,6 +12,7 @@
 #include "apps/motifs.h"
 #include "bench/bench_util.h"
 #include "pattern/canonical.h"
+#include "util/alloc_guard.h"
 
 using namespace fractal;
 
@@ -35,15 +36,13 @@ int main(int argc, char** argv) {
     // Same aggregation but the key function canonicalizes from scratch.
     WallTimer uncached_timer;
     auto uncached_result =
-        graph.VFractoid()
-            .Expand(4)
-            .Aggregate<Pattern, uint64_t, PatternHash>(
-                "motifs",
-                [](const Subgraph& s, Computation& comp) {
-                  return CanonicalForm(s.QuickPattern(comp.graph())).pattern;
-                },
-                [](const Subgraph&, Computation&) -> uint64_t { return 1; },
-                [](uint64_t& a, uint64_t&& b) { a += b; })
+        AggregateMotifs(graph.VFractoid().Expand(4), "motifs",
+                        [](const Subgraph& s, Computation& comp) {
+                          AllocGuard::Allow allow(
+                              "ablation: uncached canonicalization");
+                          return CanonicalForm(s.QuickPattern(comp.graph()))
+                              .pattern;
+                        })
             .Execute(config);
     const double uncached_seconds = uncached_timer.ElapsedSeconds();
     const auto& storage =

@@ -11,6 +11,7 @@
 // in work units, so the Internal-vs-External overhead trade-off is visible
 // exactly as in the paper's per-task runtime plots.
 #include "apps/fsm.h"
+#include "apps/motifs.h"
 #include "bench/bench_util.h"
 
 using namespace fractal;
@@ -21,15 +22,6 @@ namespace {
 /// given graph; pass-all aggregation filters keep the full workload so the
 /// imbalance of deep enumeration shows.
 Fractoid FsmShapedPipeline(const FractalGraph& graph) {
-  auto count_patterns = [](const Fractoid& fractoid, const char* name) {
-    return fractoid.Aggregate<Pattern, uint64_t, PatternHash>(
-        name,
-        [](const Subgraph& s, Computation& c) {
-          return c.CanonicalPattern(s).pattern;
-        },
-        [](const Subgraph&, Computation&) -> uint64_t { return 1; },
-        [](uint64_t& a, uint64_t&& b) { a += b; });
-  };
   auto pass_all = [](const Fractoid& fractoid, const char* name) {
     return fractoid.FilterByAggregation<Pattern, uint64_t, PatternHash>(
         name, [](const Subgraph&, Computation&,
@@ -37,8 +29,8 @@ Fractoid FsmShapedPipeline(const FractalGraph& graph) {
           return true;
         });
   };
-  Fractoid fsm = count_patterns(graph.EFractoid().Expand(1), "support1");
-  fsm = count_patterns(pass_all(fsm, "support1").Expand(1), "support2");
+  Fractoid fsm = AggregateMotifs(graph.EFractoid().Expand(1), "support1");
+  fsm = AggregateMotifs(pass_all(fsm, "support1").Expand(1), "support2");
   fsm = pass_all(fsm, "support2").Expand(1);
   return fsm;
 }

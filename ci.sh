@@ -41,7 +41,8 @@
 #      textual engine otherwise.
 #   6. Alloc-guard gate: hot_path_test re-run with FRACTAL_ALLOC_GUARD=abort
 #      — full-cluster runs of the vertex-induced, edge-induced, and KClist
-#      strategies abort the process on any steady-state heap allocation.
+#      strategies and of motif counting's pattern aggregation abort the
+#      process on any steady-state heap allocation.
 #   7. Static analysis: a clang build with -Wthread-safety promoted to an
 #      error (checking the GUARDED_BY/REQUIRES contracts of util/mutex.h),
 #      then clang-tidy with the curated .clang-tidy profile over src/,
@@ -204,8 +205,8 @@ fi
 
 echo "=== alloc-guard: zero steady-state allocations, abort on regression ==="
 # The runtime backstop for whatever the static walk cannot see: full-cluster
-# runs of all three extension strategies with the operator new interposer
-# armed to abort. Any post-warm-up heap allocation on an enumeration thread
+# runs of all three extension strategies and of CountMotifs with the
+# operator new interposer armed to abort. Any post-warm-up heap allocation on an enumeration thread
 # kills the test.
 FRACTAL_ALLOC_GUARD=abort ./build-ci/tests/hot_path_test
 FRACTAL_ALLOC_GUARD=abort ./build-ci/tests/alloc_guard_test

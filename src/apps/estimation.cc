@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/computation.h"
+#include "apps/motifs.h"
 #include "enumerate/sampling.h"
 
 namespace fractal {
@@ -23,14 +23,7 @@ EstimationResult EstimateMotifCounts(const FractalGraph& graph, uint32_t k,
   EstimationResult result;
   result.keep_probability = keep_probability;
   auto execution =
-      SampledVertexFractoid(graph, k, keep_probability, seed)
-          .Aggregate<Pattern, uint64_t, PatternHash>(
-              "motifs",
-              [](const Subgraph& s, Computation& comp) {
-                return comp.CanonicalPattern(s).pattern;
-              },
-              [](const Subgraph&, Computation&) -> uint64_t { return 1; },
-              [](uint64_t& a, uint64_t&& b) { a += b; })
+      AggregateMotifs(SampledVertexFractoid(graph, k, keep_probability, seed))
           .Execute(config);
   FRACTAL_CHECK(execution.status.ok()) << execution.status;
   const double scale = 1.0 / std::pow(keep_probability, k);

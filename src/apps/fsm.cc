@@ -1,6 +1,7 @@
 #include "apps/fsm.h"
 
 #include "core/computation.h"
+#include "util/alloc_guard.h"
 #include "util/timer.h"
 
 namespace fractal {
@@ -67,14 +68,20 @@ Fractoid WithSupportAggregation(const Fractoid& fractoid,
       [](const Subgraph& subgraph, Computation& comp) {
         return comp.CanonicalPattern(subgraph).pattern;
       },
+      // DomainSupport owns hash sets by design: building one per embedding
+      // and folding it in allocate, so both callbacks are audited escapes
+      // from the step's AllocGuard (the key path above stays guarded).
       /*value_fn=*/
       [min_support](const Subgraph& subgraph, Computation& comp) {
+        const CanonicalResult& canonical = comp.CanonicalPattern(subgraph);
+        AllocGuard::Allow allow("FSM per-embedding DomainSupport");
         DomainSupport support(min_support);
-        support.AddEmbedding(subgraph, comp.CanonicalPattern(subgraph));
+        support.AddEmbedding(subgraph, canonical);
         return support;
       },
       /*reduce_fn=*/
       [](DomainSupport& into, DomainSupport&& from) {
+        AllocGuard::Allow allow("FSM DomainSupport merge");
         into.Merge(std::move(from));
       },
       /*post_filter=*/

@@ -1,21 +1,26 @@
 #include "apps/motifs.h"
 
+#include <utility>
+
 #include "core/computation.h"
 
 namespace fractal {
 
+Pattern CanonicalPatternKey(const Subgraph& subgraph, Computation& comp) {
+  return comp.CanonicalPattern(subgraph).pattern;
+}
+
+Fractoid AggregateMotifs(const Fractoid& fractoid, const std::string& name,
+                         MotifCountStorage::KeyFn key_fn) {
+  return fractoid.Aggregate<Pattern, uint64_t, PatternHash>(
+      name, std::move(key_fn),
+      /*value_fn=*/[](const Subgraph&, Computation&) -> uint64_t { return 1; },
+      /*reduce_fn=*/[](uint64_t& into, uint64_t&& from) { into += from; });
+}
+
 Fractoid MotifsFractoid(const FractalGraph& graph, uint32_t k) {
   FRACTAL_CHECK(k >= 1);
-  return graph.VFractoid().Expand(k).Aggregate<Pattern, uint64_t, PatternHash>(
-      "motifs",
-      /*key_fn=*/
-      [](const Subgraph& subgraph, Computation& comp) {
-        return comp.CanonicalPattern(subgraph).pattern;
-      },
-      /*value_fn=*/
-      [](const Subgraph&, Computation&) -> uint64_t { return 1; },
-      /*reduce_fn=*/
-      [](uint64_t& into, uint64_t&& from) { into += from; });
+  return AggregateMotifs(graph.VFractoid().Expand(k));
 }
 
 MotifsResult CountMotifs(const FractalGraph& graph, uint32_t k,

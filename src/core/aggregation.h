@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "enumerate/subgraph.h"
+#include "util/alloc_guard.h"
 #include "util/check.h"
+#include "util/hot_annotations.h"
 
 namespace fractal {
 
@@ -142,15 +144,21 @@ class AggregationStorage : public AggregationStorageBase {
         reduce_fn_(std::move(reduce_fn)),
         post_filter_(std::move(post_filter)) {}
 
+  /// Runs inside the step's AllocGuard scope (DESIGN.md §9): with
+  /// heap-free keys and values (motif counting) a known key allocates
+  /// nothing, and the only audited allocation is the map node of a key this
+  /// storage has not seen yet.
   void Accumulate(const Subgraph& subgraph, Computation& comp) override {
     K key = key_fn_(subgraph, comp);
     V value = value_fn_(subgraph, comp);
-    auto [it, inserted] = entries_.try_emplace(std::move(key));
-    if (inserted) {
-      it->second = std::move(value);
-    } else {
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) {
       reduce_fn_(it->second, std::move(value));
+      return;
     }
+    FRACTAL_HOT_ESCAPE("new key: one map node per distinct key per storage");
+    AllocGuard::Allow allow("aggregation new-key insert");
+    entries_.emplace(std::move(key), std::move(value));
   }
 
   void MergeFrom(AggregationStorageBase& other_base) override {

@@ -330,10 +330,11 @@ void FractoidStepTask::Process(ThreadContext& t, CoreState& s,
     case Primitive::Kind::kAggregate: {
       const int32_t slot = storage_slots_[index];
       if (slot >= 0) {
-        // Accumulators (hash maps, pattern keys) are application-level
-        // storage with their own growth policy. Under lineage tracking the
-        // update goes to the task scratch (durable only at CommitTask).
-        AllocGuard::Allow allow("aggregation accumulator update");
+        // Guarded like the rest of the expansion: Accumulate audits its own
+        // new-key insert, the quick-pattern cache its misses, and apps with
+        // heap-owning values their value/reduce callbacks. Under lineage
+        // tracking the update goes to the task scratch (durable only at
+        // CommitTask).
         auto& storages =
             t.lineage != nullptr ? s.task_storages : s.storages;
         storages[slot]->Accumulate(s.subgraph, *s.computation);

@@ -144,7 +144,7 @@ FRACTAL_HOT void Subgraph::Pop() {
   }
 }
 
-Pattern Subgraph::QuickPattern(const Graph& graph) const {
+FRACTAL_HOT Pattern Subgraph::QuickPattern(const Graph& graph) const {
   Pattern pattern;
   for (const VertexId v : vertices_) {
     pattern.AddVertex(graph.VertexLabel(v));

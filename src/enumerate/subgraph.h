@@ -75,8 +75,9 @@ class Subgraph {
   uint32_t Depth() const { return static_cast<uint32_t>(records_.size()); }
 
   /// The labeled pattern of this subgraph over positions in addition order
-  /// — the "quick pattern" memoization key for canonicalization.
-  Pattern QuickPattern(const Graph& graph) const;
+  /// — the "quick pattern" memoization key for canonicalization. Built in
+  /// the pattern's inline storage: no allocation up to 8 vertices.
+  FRACTAL_HOT Pattern QuickPattern(const Graph& graph) const;
 
   std::string ToString() const;
 

@@ -1,8 +1,10 @@
 #include "pattern/canonical.h"
 
-#include "pattern/automorphism.h"
-
 #include <algorithm>
+
+#include "pattern/automorphism.h"
+#include "util/alloc_guard.h"
+#include "util/hot_annotations.h"
 
 namespace fractal {
 namespace {
@@ -141,14 +143,16 @@ bool AreIsomorphic(const Pattern& a, const Pattern& b) {
   return CanonicalForm(a).pattern == CanonicalForm(b).pattern;
 }
 
-const CanonicalResult& CanonicalPatternCache::Canonicalize(
+FRACTAL_HOT const CanonicalResult& CanonicalPatternCache::Canonicalize(
     const Pattern& quick_pattern) {
-  auto it = cache_.find(quick_pattern);
+  const auto it = cache_.find(quick_pattern);
   if (it != cache_.end()) {
     ++hits_;
     return it->second;
   }
   ++misses_;
+  FRACTAL_HOT_ESCAPE("cache miss: once per distinct quick pattern per thread");
+  AllocGuard::Allow allow("quick-pattern cache miss: CanonicalForm + insert");
   return cache_.emplace(quick_pattern, CanonicalForm(quick_pattern))
       .first->second;
 }

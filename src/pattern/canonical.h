@@ -43,10 +43,13 @@ CanonicalResult CanonicalForm(const Pattern& pattern);
 bool AreIsomorphic(const Pattern& a, const Pattern& b);
 
 /// Memoizing wrapper around CanonicalForm keyed by the quick pattern.
+/// A hit allocates nothing (inline Pattern keys); a miss runs CanonicalForm
+/// and inserts, an audited cold branch (DESIGN.md §9).
 /// Not thread-safe: use one instance per execution thread.
 class CanonicalPatternCache {
  public:
-  const CanonicalResult& Canonicalize(const Pattern& quick_pattern);
+  FRACTAL_HOT const CanonicalResult& Canonicalize(
+      const Pattern& quick_pattern);
 
   size_t CacheSize() const { return cache_.size(); }
   uint64_t Hits() const { return hits_; }

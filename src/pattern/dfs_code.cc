@@ -19,18 +19,6 @@ struct Instantiation {
   std::vector<uint32_t> rightmost_path;   // discovery indices, root..rightmost
 };
 
-/// Index of the pattern edge (u, v) in pattern.Edges(). The edge must exist.
-uint32_t EdgeSlot(const Pattern& pattern, uint32_t u, uint32_t v) {
-  const uint32_t src = std::min(u, v);
-  const uint32_t dst = std::max(u, v);
-  const auto& edges = pattern.Edges();
-  for (uint32_t slot = 0; slot < edges.size(); ++slot) {
-    if (edges[slot].src == src && edges[slot].dst == dst) return slot;
-  }
-  FRACTAL_CHECK(false) << "edge not in pattern";
-  return 0;
-}
-
 struct Extension {
   DfsEdge edge;
   uint32_t source_vertex;  // pattern vertex at edge.i
@@ -49,7 +37,7 @@ void CollectExtensions(const Pattern& pattern, const Instantiation& inst,
     if (path_index == rightmost_index) continue;
     const uint32_t target = inst.index_to_vertex[path_index];
     if (!pattern.IsAdjacent(rightmost_vertex, target)) continue;
-    const uint32_t slot = EdgeSlot(pattern, rightmost_vertex, target);
+    const uint32_t slot = pattern.EdgeIndex(rightmost_vertex, target);
     if ((inst.used_edges >> slot) & 1ull) continue;
     Extension ext;
     ext.edge = {rightmost_index, path_index,
@@ -84,7 +72,7 @@ Instantiation Extend(const Pattern& pattern, const Instantiation& inst,
                      const Extension& ext) {
   Instantiation next = inst;
   next.used_edges |=
-      1ull << EdgeSlot(pattern, ext.source_vertex, ext.target_vertex);
+      1ull << pattern.EdgeIndex(ext.source_vertex, ext.target_vertex);
   if (ext.edge.IsForward()) {
     const uint32_t new_index = ext.edge.j;
     FRACTAL_DCHECK(new_index == next.index_to_vertex.size());
@@ -177,7 +165,7 @@ DfsCode MinDfsCode(const Pattern& pattern) {
       inst.vertex_to_index.assign(pattern.NumVertices(), -1);
       inst.vertex_to_index[u] = 0;
       inst.vertex_to_index[v] = 1;
-      inst.used_edges = 1ull << EdgeSlot(pattern, u, v);
+      inst.used_edges = 1ull << pattern.EdgeIndex(u, v);
       inst.rightmost_path = {0, 1};
       current.push_back(std::move(inst));
     }

@@ -1,38 +1,130 @@
 #include "pattern/pattern.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
+
+#include "util/hot_annotations.h"
 
 namespace fractal {
 
-uint32_t Pattern::AddVertex(Label label) {
-  FRACTAL_CHECK(NumVertices() < kMaxVertices) << "pattern too large";
-  vertex_labels_.push_back(label);
-  adjacency_.push_back(0);
-  return NumVertices() - 1;
+static_assert(sizeof(Pattern) <= 168,
+              "Pattern is the per-key footprint of every aggregation map");
+
+Pattern::Pattern(const Pattern& other)
+    : inline_(other.inline_),
+      num_vertices_(other.num_vertices_),
+      num_edges_(other.num_edges_) {
+  if (other.spill_ != nullptr) {
+    FRACTAL_HOT_ESCAPE("large patterns own a heap block by design");
+    spill_ = std::make_unique<Spill>(*other.spill_);
+  }
 }
 
-void Pattern::AddEdge(uint32_t u, uint32_t v, Label label) {
+Pattern::Pattern(Pattern&& other) noexcept
+    : inline_(other.inline_),
+      num_vertices_(other.num_vertices_),
+      num_edges_(other.num_edges_),
+      spill_(std::move(other.spill_)) {
+  other.Reset();
+}
+
+Pattern& Pattern::operator=(const Pattern& other) {
+  if (this != &other) *this = Pattern(other);
+  return *this;
+}
+
+Pattern& Pattern::operator=(Pattern&& other) noexcept {
+  if (this == &other) return *this;
+  inline_ = other.inline_;
+  num_vertices_ = other.num_vertices_;
+  num_edges_ = other.num_edges_;
+  spill_ = std::move(other.spill_);
+  other.Reset();
+  return *this;
+}
+
+void Pattern::Reset() {
+  inline_ = Inline{};
+  num_vertices_ = 0;
+  num_edges_ = 0;
+  spill_.reset();
+}
+
+void Pattern::SpillToHeap() {
+  auto spill = std::make_unique<Spill>();
+  std::copy_n(inline_.vertex_labels, num_vertices_, spill->vertex_labels);
+  std::copy_n(inline_.adjacency, num_vertices_, spill->adjacency);
+  spill->edge_labels.assign(inline_.edge_labels,
+                            inline_.edge_labels + num_edges_);
+  spill_ = std::move(spill);
+}
+
+FRACTAL_HOT uint32_t Pattern::AddVertex(Label label) {
+  FRACTAL_CHECK(NumVertices() < kMaxVertices) << "pattern too large";
+  const uint32_t position = num_vertices_;
+  if (position < kInlineVertices) {
+    inline_.vertex_labels[position] = label;
+    inline_.adjacency[position] = 0;
+  } else {
+    FRACTAL_HOT_ESCAPE("past the inline capacity: large patterns spill");
+    if (spill_ == nullptr) SpillToHeap();
+    spill_->vertex_labels[position] = label;
+    spill_->adjacency[position] = 0;
+  }
+  ++num_vertices_;
+  return position;
+}
+
+FRACTAL_HOT void Pattern::AddEdge(uint32_t u, uint32_t v, Label label) {
   FRACTAL_CHECK(u < NumVertices() && v < NumVertices());
   FRACTAL_CHECK(u != v) << "pattern self-loop";
   FRACTAL_CHECK(!IsAdjacent(u, v)) << "duplicate pattern edge";
-  PatternEdge edge;
-  edge.src = std::min(u, v);
-  edge.dst = std::max(u, v);
-  edge.label = label;
-  edges_.insert(std::lower_bound(edges_.begin(), edges_.end(), edge), edge);
-  adjacency_[u] |= 1u << v;
-  adjacency_[v] |= 1u << u;
+  const uint32_t index = EdgeRank(std::min(u, v), std::max(u, v));
+  if (spill_ == nullptr) {
+    FRACTAL_DCHECK(num_edges_ < kInlineEdges);
+    // Edges mostly arrive in order, so this shift is usually empty.
+    Label* labels = inline_.edge_labels;
+    for (uint32_t i = num_edges_; i > index; --i) labels[i] = labels[i - 1];
+    labels[index] = label;
+    inline_.adjacency[u] |= static_cast<uint8_t>(1u << v);
+    inline_.adjacency[v] |= static_cast<uint8_t>(1u << u);
+  } else {
+    FRACTAL_HOT_ESCAPE("past the inline capacity: large patterns spill");
+    spill_->edge_labels.insert(spill_->edge_labels.begin() + index, label);
+    spill_->adjacency[u] |= 1u << v;
+    spill_->adjacency[v] |= 1u << u;
+  }
+  ++num_edges_;
+}
+
+namespace {
+
+/// Set bits of a (sparse) neighbor mask. Not __builtin_popcount: on
+/// baseline x86-64 (no POPCNT) that is a libgcc call, paid per AddEdge.
+uint32_t CountBits(uint64_t mask) {
+  uint32_t count = 0;
+  for (; mask != 0; mask &= mask - 1) ++count;
+  return count;
+}
+
+}  // namespace
+
+uint32_t Pattern::EdgeRank(uint32_t src, uint32_t dst) const {
+  uint32_t rank = 0;
+  for (uint32_t a = 0; a < src; ++a) rank += CountBits(HigherNeighbors(a));
+  const uint64_t below_dst = (uint64_t{1} << dst) - 1;
+  return rank + CountBits(HigherNeighbors(src) & below_dst);
+}
+
+uint32_t Pattern::EdgeIndex(uint32_t u, uint32_t v) const {
+  FRACTAL_CHECK(u < NumVertices() && v < NumVertices() && IsAdjacent(u, v))
+      << "no edge (" << u << "," << v << ") in pattern";
+  return EdgeRank(std::min(u, v), std::max(u, v));
 }
 
 Label Pattern::EdgeLabelBetween(uint32_t u, uint32_t v) const {
-  const uint32_t src = std::min(u, v);
-  const uint32_t dst = std::max(u, v);
-  for (const PatternEdge& edge : edges_) {
-    if (edge.src == src && edge.dst == dst) return edge.label;
-  }
-  FRACTAL_CHECK(false) << "no edge (" << u << "," << v << ") in pattern";
-  return 0;
+  return EdgeLabels()[EdgeIndex(u, v)];
 }
 
 bool Pattern::IsConnected() const {
@@ -43,7 +135,7 @@ bool Pattern::IsConnected() const {
   while (frontier != 0) {
     uint32_t next = 0;
     for (uint32_t v = 0; v < n; ++v) {
-      if ((frontier >> v) & 1u) next |= adjacency_[v];
+      if ((frontier >> v) & 1u) next |= NeighborMask(v);
     }
     frontier = next & ~visited;
     visited |= next;
@@ -54,12 +146,12 @@ bool Pattern::IsConnected() const {
 Pattern Pattern::Permuted(const std::vector<uint32_t>& perm) const {
   FRACTAL_CHECK(perm.size() == NumVertices());
   Pattern result;
-  std::vector<Label> labels(NumVertices());
+  Label labels[kMaxVertices] = {};
   for (uint32_t i = 0; i < NumVertices(); ++i) {
-    labels[perm[i]] = vertex_labels_[i];
+    labels[perm[i]] = VertexLabel(i);
   }
-  for (const Label label : labels) result.AddVertex(label);
-  for (const PatternEdge& edge : edges_) {
+  for (uint32_t i = 0; i < NumVertices(); ++i) result.AddVertex(labels[i]);
+  for (const PatternEdge& edge : Edges()) {
     result.AddEdge(perm[edge.src], perm[edge.dst], edge.label);
   }
   return result;
@@ -69,10 +161,10 @@ std::string Pattern::ToString() const {
   std::ostringstream out;
   for (uint32_t v = 0; v < NumVertices(); ++v) {
     if (v > 0) out << ' ';
-    out << 'v' << v << '(' << vertex_labels_[v] << ')';
+    out << 'v' << v << '(' << VertexLabel(v) << ')';
   }
   out << " ;";
-  for (const PatternEdge& edge : edges_) {
+  for (const PatternEdge& edge : Edges()) {
     out << " (" << edge.src << '-' << edge.dst;
     if (edge.label != 0) out << ':' << edge.label;
     out << ')';
@@ -85,12 +177,43 @@ uint64_t Pattern::Hash() const {
   auto mix = [&hash](uint64_t value) {
     hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
   };
-  for (const Label label : vertex_labels_) mix(label);
-  for (const PatternEdge& edge : edges_) {
+  const Label* labels = VertexLabels();
+  for (uint32_t v = 0; v < NumVertices(); ++v) mix(labels[v]);
+  for (const PatternEdge& edge : Edges()) {
     mix((static_cast<uint64_t>(edge.src) << 40) |
         (static_cast<uint64_t>(edge.dst) << 20) | edge.label);
   }
   return hash;
+}
+
+bool operator==(const Pattern& a, const Pattern& b) {
+  if (a.num_vertices_ != b.num_vertices_ || a.num_edges_ != b.num_edges_) {
+    return false;
+  }
+  if (a.spill_ == nullptr) {
+    return std::memcmp(&a.inline_, &b.inline_, sizeof(Pattern::Inline)) == 0;
+  }
+  const uint32_t n = a.num_vertices_;
+  return std::equal(a.spill_->vertex_labels, a.spill_->vertex_labels + n,
+                    b.spill_->vertex_labels) &&
+         std::equal(a.spill_->adjacency, a.spill_->adjacency + n,
+                    b.spill_->adjacency) &&
+         a.spill_->edge_labels == b.spill_->edge_labels;
+}
+
+std::strong_ordering operator<=>(const Pattern& a, const Pattern& b) {
+  const Label* a_labels = a.VertexLabels();
+  const Label* b_labels = b.VertexLabels();
+  if (auto c = std::lexicographical_compare_three_way(
+          a_labels, a_labels + a.NumVertices(), b_labels,
+          b_labels + b.NumVertices());
+      c != 0) {
+    return c;
+  }
+  const Pattern::EdgeRange a_edges = a.Edges();
+  const Pattern::EdgeRange b_edges = b.Edges();
+  return std::lexicographical_compare_three_way(
+      a_edges.begin(), a_edges.end(), b_edges.begin(), b_edges.end());
 }
 
 Pattern Pattern::Clique(uint32_t k) {

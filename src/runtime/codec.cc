@@ -15,22 +15,36 @@ void SubgraphCodec::EncodeSubgraph(const Subgraph& subgraph,
   }
 }
 
+namespace {
+
+/// Reads an element count and checks that the payload still holds that many
+/// `element_bytes`-sized elements, so a corrupt or hostile count is
+/// rejected before anything is sized by it.
+bool ReadCount(ByteReader* reader, size_t element_bytes, uint32_t* count) {
+  *count = reader->GetU32();
+  return reader->ok() && *count <= 1u << 20 &&
+         uint64_t{*count} * element_bytes <= reader->remaining();
+}
+
+}  // namespace
+
 bool SubgraphCodec::DecodeSubgraph(ByteReader* reader, Subgraph* subgraph) {
   subgraph->Clear();
-  const uint32_t num_vertices = reader->GetU32();
-  if (!reader->ok() || num_vertices > 1u << 20) return false;
+  uint32_t num_vertices = 0;
+  if (!ReadCount(reader, sizeof(uint32_t), &num_vertices)) return false;
   subgraph->vertices_.resize(num_vertices);
   for (uint32_t i = 0; i < num_vertices; ++i) {
     subgraph->vertices_[i] = reader->GetU32();
   }
-  const uint32_t num_edges = reader->GetU32();
-  if (!reader->ok() || num_edges > 1u << 20) return false;
+  uint32_t num_edges = 0;
+  if (!ReadCount(reader, sizeof(uint32_t), &num_edges)) return false;
   subgraph->edges_.resize(num_edges);
   for (uint32_t i = 0; i < num_edges; ++i) {
     subgraph->edges_[i] = reader->GetU32();
   }
-  const uint32_t num_records = reader->GetU32();
-  if (!reader->ok() || num_records > 1u << 20) return false;
+  uint32_t num_records = 0;
+  // Two bytes per record: vertices_added, edges_added.
+  if (!ReadCount(reader, 2, &num_records)) return false;
   subgraph->records_.resize(num_records);
   uint32_t vertex_total = 0;
   uint32_t edge_total = 0;

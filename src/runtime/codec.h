@@ -57,6 +57,9 @@ class ByteReader {
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return position_ == bytes_.size(); }
+  /// Bytes not yet read: the bound a decoder checks claimed counts against
+  /// before sizing anything by them.
+  size_t remaining() const { return bytes_.size() - position_; }
 
  private:
   const std::vector<uint8_t>& bytes_;

@@ -3,12 +3,14 @@
 #include <set>
 
 #include "apps/cliques.h"
+#include "apps/fsm.h"
 #include "core/aggregation.h"
 #include "core/computation.h"
 #include "core/context.h"
 #include "core/step.h"
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
+#include "pattern/canonical.h"
 #include "pattern/pattern.h"
 #include "runtime/cluster.h"
 #include "tests/brute_force.h"
@@ -455,43 +457,58 @@ TEST(ExecutorTest, WorkStealingProducesBalancedWork) {
 
 /// Pattern-keyed storage whose key/value functions ignore the subgraph and
 /// synthesize entries from `next_key` — lets tests drive Accumulate without
-/// an execution.
+/// an execution. Paths of 9..12 vertices spill to the heap.
 using PatternCountStorage = AggregationStorage<Pattern, uint64_t, PatternHash>;
 
 PatternCountStorage MakePatternStorage(uint32_t* next_key) {
   return PatternCountStorage(
       [next_key](const Subgraph&, Computation&) {
-        // Distinct heap-owning keys: paths of 3..12 vertices.
+        // Distinct keys: paths of 3..12 vertices.
         return Pattern::PathPattern(3 + (*next_key)++ % 10);
       },
       [](const Subgraph&, Computation&) -> uint64_t { return 1; },
       [](uint64_t& a, uint64_t&& b) { a += b; }, nullptr);
 }
 
-TEST(AggregationStorageTest, ApproxBytesCountsHeapOwnedByPatternKeys) {
-  const Graph g = testgraphs::Complete(3);
-  Computation comp(&g);
-  const Subgraph unused;
+TEST(AggregationStorageTest, ApproxBytesCountsHeapOwnedByEntries) {
+  // Inline patterns own no heap; patterns past the inline capacity do.
+  EXPECT_EQ(HeapBytesOf(Pattern::PathPattern(3)), 0u);
+  EXPECT_EQ(HeapBytesOf(Pattern::Clique(Pattern::kInlineVertices)), 0u);
+  EXPECT_GT(HeapBytesOf(Pattern::PathPattern(12)), 0u);
 
-  uint32_t next_key = 0;
-  PatternCountStorage storage = MakePatternStorage(&next_key);
-  for (int i = 0; i < 10; ++i) storage.Accumulate(unused, comp);
+  // FSM's DomainSupport values own hash-set domains: the heap-owning entry
+  // the memory drilldowns (Table 2) must not undercount.
+  const Graph g = testgraphs::Complete(4);
+  Computation comp(&g);
+  Subgraph triangle;
+  for (VertexId v = 0; v < 3; ++v) triangle.PushVertexInduced(g, v);
+  const CanonicalResult canonical = CanonicalForm(triangle.QuickPattern(g));
+  uint64_t next_key = 0;
+  AggregationStorage<uint64_t, DomainSupport> storage(
+      [&next_key](const Subgraph&, Computation&) { return next_key++; },
+      [&canonical](const Subgraph& subgraph, Computation&) {
+        DomainSupport support(1);
+        support.AddEmbedding(subgraph, canonical);
+        return support;
+      },
+      [](DomainSupport& into, DomainSupport&& from) {
+        into.Merge(std::move(from));
+      },
+      nullptr);
+  for (int i = 0; i < 10; ++i) storage.Accumulate(triangle, comp);
   ASSERT_EQ(storage.NumEntries(), 10u);
 
-  // The seed counted only inline node size: bucket array + sizeof(K/V) +
-  // per-node pointers. Pattern keys own three vectors each, so the real
-  // footprint must sit strictly above that naive bound — by exactly the
-  // heap the keys report.
+  // Inline node size alone (bucket array + sizeof(K/V) + per-node
+  // pointers) undercounts by exactly the heap the values report.
   const uint64_t naive =
       storage.entries().bucket_count() * sizeof(void*) +
       storage.NumEntries() *
-          (sizeof(Pattern) + sizeof(uint64_t) + 2 * sizeof(void*));
+          (sizeof(uint64_t) + sizeof(DomainSupport) + 2 * sizeof(void*));
   uint64_t owned = 0;
   for (const auto& [key, value] : storage.entries()) {
-    owned += key.ApproxHeapBytes();
+    owned += value.ApproxHeapBytes();
   }
   EXPECT_GT(owned, 0u);
-  EXPECT_GT(storage.ApproxBytes(), naive);
   EXPECT_EQ(storage.ApproxBytes(), naive + owned);
 }
 

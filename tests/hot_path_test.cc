@@ -1,7 +1,8 @@
 // End-to-end check of the hot-path allocation discipline (DESIGN.md §9):
 // after the per-step warm-up, full-cluster runs of the vertex-induced,
-// edge-induced, and KClist strategies perform ZERO heap allocations in their
-// steady-state DFS regions. FractoidStepTask arms an AllocGuard around each
+// edge-induced, and KClist strategies, and of motif counting's pattern
+// aggregation, perform ZERO heap allocations in their steady-state DFS
+// regions. FractoidStepTask arms an AllocGuard around each
 // extension once a thread has consumed AllocGuard::warmup_units() work units
 // in the step; these tests crank the global mode to kCount (assert the
 // observed total is zero) and kAbort (completing at all is the assertion),
@@ -14,7 +15,9 @@
 #include <string>
 
 #include "apps/cliques.h"
+#include "apps/motifs.h"
 #include "core/context.h"
+#include "graph/generators.h"
 #include "graph/test_graphs.h"
 #include "obs/metrics.h"
 #include "util/alloc_guard.h"
@@ -119,6 +122,57 @@ TEST_F(HotPathTest, CompletesUnderAbortModeWithStealingCluster) {
   const StrategyCounts aborted_mode = RunAllStrategies(g, SmallCluster());
   AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
   EXPECT_EQ(aborted_mode, expected);
+}
+
+// Motif counting aggregates every subgraph under its canonical pattern:
+// quick pattern, canonical-pattern cache, aggregation key. With inline
+// Pattern storage that path allocates only on a cache miss or a key the
+// thread has not seen yet (both audited, cold); everything else runs
+// guarded. Two vertex labels give several distinct motifs per thread.
+MotifsResult RunMotifs(const Graph& g, const ExecutionConfig& config) {
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  return CountMotifs(graph, 3, config);
+}
+
+Graph LabeledMotifGraph() {
+  return GenerateRandomGraph(/*num_vertices=*/300, /*num_edges=*/1500,
+                             /*num_vertex_labels=*/2, /*num_edge_labels=*/1,
+                             /*seed=*/17);
+}
+
+TEST_F(HotPathTest, MotifAggregationIsAllocationFreeUnderCountMode) {
+  const Graph g = LabeledMotifGraph();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const MotifsResult expected = RunMotifs(g, SmallCluster());
+  ASSERT_GT(expected.counts.size(), 2u);
+
+  const uint64_t work_before = obs::WorkUnitsCounter().Value();
+  const uint64_t guarded_before = AllocGuard::TotalGuardedAllocations();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kCount);
+  const MotifsResult counted = RunMotifs(g, SmallCluster());
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const uint64_t guarded = AllocGuard::TotalGuardedAllocations() -
+                           guarded_before;
+  const uint64_t work = obs::WorkUnitsCounter().Value() - work_before;
+
+  EXPECT_EQ(counted.counts, expected.counts);
+  // Enough work that each of the 4 threads runs well past warm-up, so the
+  // guards arm; otherwise this test asserts nothing.
+  ASSERT_GT(work, 4 * 4 * AllocGuard::warmup_units());
+  EXPECT_EQ(guarded, 0u)
+      << "steady-state heap allocations on the motif aggregation path";
+}
+
+TEST_F(HotPathTest, MotifAggregationCompletesUnderAbortMode) {
+  const Graph g = LabeledMotifGraph();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const MotifsResult expected = RunMotifs(g, SmallCluster());
+
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kAbort);
+  const MotifsResult aborted_mode = RunMotifs(g, SmallCluster());
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  EXPECT_EQ(aborted_mode.counts, expected.counts);
 }
 
 TEST_F(HotPathTest, ScratchMissesDependOnShapeNotWorkVolume) {

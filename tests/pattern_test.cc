@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <compare>
 #include <map>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "pattern/automorphism.h"
 #include "pattern/canonical.h"
 #include "pattern/dfs_code.h"
 #include "pattern/pattern.h"
+#include "util/alloc_guard.h"
 #include "util/random.h"
 
 namespace fractal {
@@ -72,6 +76,218 @@ TEST(PatternTest, PermutedRelabelsStructure) {
   EXPECT_TRUE(q.IsAdjacent(0, 1));
   EXPECT_EQ(q.EdgeLabelBetween(0, 1), 8u);
   EXPECT_FALSE(q.IsAdjacent(1, 2));
+}
+
+// --- Inline storage and the large-pattern spill --------------------------
+
+/// The former vector-backed representation, kept as the reference model of
+/// Pattern's value semantics: labels by position, edges sorted by
+/// (src, dst). Equality, ordering and the hash are defined over these two
+/// sequences whatever storage the pattern uses.
+struct ReferencePattern {
+  std::vector<Label> labels;
+  std::vector<PatternEdge> edges;
+
+  void AddEdge(uint32_t u, uint32_t v, Label label) {
+    const PatternEdge edge{std::min(u, v), std::max(u, v), label};
+    edges.insert(std::lower_bound(edges.begin(), edges.end(), edge), edge);
+  }
+
+  uint64_t Hash() const {
+    uint64_t hash = 0x9e3779b97f4a7c15ull ^ labels.size();
+    auto mix = [&hash](uint64_t value) {
+      hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
+    };
+    for (const Label label : labels) mix(label);
+    for (const PatternEdge& edge : edges) {
+      mix((static_cast<uint64_t>(edge.src) << 40) |
+          (static_cast<uint64_t>(edge.dst) << 20) | edge.label);
+    }
+    return hash;
+  }
+
+  std::strong_ordering Compare(const ReferencePattern& other) const {
+    if (auto c = labels <=> other.labels; c != 0) return c;
+    return edges <=> other.edges;
+  }
+};
+
+/// Builds the same random labeled pattern twice — as a Pattern and as the
+/// reference model — adding edges in random order so sorted insertion is
+/// exercised. n ranges past the inline capacity.
+std::pair<Pattern, ReferencePattern> RandomPatternPair(SplitMix64& rng,
+                                                       uint32_t n) {
+  Pattern pattern;
+  ReferencePattern reference;
+  for (uint32_t v = 0; v < n; ++v) {
+    const Label label = static_cast<Label>(rng.NextBounded(3));
+    pattern.AddVertex(label);
+    reference.labels.push_back(label);
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  for (uint32_t u = 0; u < n; ++u) {
+    for (uint32_t v = u + 1; v < n; ++v) {
+      if (rng.NextBounded(100) < 40) pairs.emplace_back(v, u);
+    }
+  }
+  for (uint32_t i = static_cast<uint32_t>(pairs.size()); i > 1; --i) {
+    std::swap(pairs[i - 1], pairs[rng.NextBounded(i)]);
+  }
+  for (const auto& [u, v] : pairs) {
+    const Label label = static_cast<Label>(rng.NextBounded(2));
+    pattern.AddEdge(u, v, label);
+    reference.AddEdge(u, v, label);
+  }
+  return {std::move(pattern), std::move(reference)};
+}
+
+std::vector<PatternEdge> EdgeList(const Pattern& pattern) {
+  return {pattern.Edges().begin(), pattern.Edges().end()};
+}
+
+TEST(PatternStorageTest, MatchesReferenceModelAcrossInlineCapacity) {
+  SplitMix64 rng(2024);
+  std::vector<std::pair<Pattern, ReferencePattern>> built;
+  for (int trial = 0; trial < 300; ++trial) {
+    const uint32_t n = 1 + static_cast<uint32_t>(rng.NextBounded(12));
+    built.push_back(RandomPatternPair(rng, n));
+  }
+  // Force equal pairs across storage classes too.
+  built.push_back(built.front());
+  for (const auto& [pattern, reference] : built) {
+    ASSERT_EQ(pattern.NumVertices(), reference.labels.size());
+    ASSERT_EQ(pattern.NumEdges(), reference.edges.size());
+    EXPECT_EQ(EdgeList(pattern), reference.edges) << pattern.ToString();
+    EXPECT_EQ(pattern.Hash(), reference.Hash()) << pattern.ToString();
+    EXPECT_EQ(pattern.ApproxHeapBytes() == 0,
+              pattern.NumVertices() <= Pattern::kInlineVertices);
+    for (size_t i = 0; i < reference.edges.size(); ++i) {
+      const PatternEdge& edge = reference.edges[i];
+      EXPECT_EQ(pattern.EdgeIndex(edge.dst, edge.src), i);
+      EXPECT_EQ(pattern.EdgeLabelBetween(edge.dst, edge.src), edge.label);
+    }
+    const Pattern copy = pattern;
+    EXPECT_EQ(copy, pattern);
+    EXPECT_EQ(copy.Hash(), pattern.Hash());
+  }
+  for (size_t i = 0; i < built.size(); ++i) {
+    for (size_t j = i; j < std::min(built.size(), i + 25); ++j) {
+      const auto& [a, ra] = built[i];
+      const auto& [b, rb] = built[j];
+      EXPECT_EQ(a <=> b, ra.Compare(rb)) << a.ToString() << " vs "
+                                         << b.ToString();
+      EXPECT_EQ(a == b, ra.Compare(rb) == 0);
+    }
+  }
+}
+
+TEST(PatternStorageTest, PermutedRoundTripsAcrossInlineCapacity) {
+  SplitMix64 rng(99);
+  for (int trial = 0; trial < 100; ++trial) {
+    const uint32_t n = 2 + static_cast<uint32_t>(rng.NextBounded(11));
+    const Pattern p = RandomPatternPair(rng, n).first;
+    std::vector<uint32_t> perm(n);
+    std::iota(perm.begin(), perm.end(), 0);
+    for (uint32_t i = n; i > 1; --i) {
+      std::swap(perm[i - 1], perm[rng.NextBounded(i)]);
+    }
+    std::vector<uint32_t> inverse(n);
+    for (uint32_t i = 0; i < n; ++i) inverse[perm[i]] = i;
+    const Pattern q = p.Permuted(perm);
+    EXPECT_EQ(q.NumEdges(), p.NumEdges());
+    for (const PatternEdge& e : p.Edges()) {
+      EXPECT_TRUE(q.IsAdjacent(perm[e.src], perm[e.dst]));
+      EXPECT_EQ(q.EdgeLabelBetween(perm[e.src], perm[e.dst]), e.label);
+    }
+    EXPECT_EQ(q.Permuted(inverse), p) << p.ToString();
+  }
+}
+
+TEST(PatternStorageTest, TwelveVertexPathSpillsAndRoundTrips) {
+  // Distinct, scrambled labels keep CanonicalForm's search linear-ish.
+  Pattern path;
+  for (uint32_t v = 0; v < 12; ++v) path.AddVertex((v * 7) % 12);
+  for (uint32_t v = 0; v + 1 < 12; ++v) path.AddEdge(v, v + 1, v % 2);
+  EXPECT_EQ(path.NumVertices(), 12u);
+  EXPECT_EQ(path.NumEdges(), 11u);
+  EXPECT_GT(path.ApproxHeapBytes(), 0u);
+  EXPECT_TRUE(path.IsConnected());
+
+  // The first eight positions, built inline, agree with the spilled
+  // pattern position by position.
+  Pattern prefix;
+  for (uint32_t v = 0; v < 8; ++v) prefix.AddVertex(path.VertexLabel(v));
+  for (uint32_t v = 0; v + 1 < 8; ++v) prefix.AddEdge(v, v + 1, v % 2);
+  EXPECT_EQ(prefix.ApproxHeapBytes(), 0u);
+  for (uint32_t u = 0; u < 8; ++u) {
+    EXPECT_EQ(prefix.VertexLabel(u), path.VertexLabel(u));
+    EXPECT_EQ(prefix.NeighborMask(u), path.NeighborMask(u) & 0xffu);
+  }
+  // Old vector ordering: equal label prefix, shorter first.
+  EXPECT_LT(Pattern::PathPattern(8), Pattern::PathPattern(12));
+  EXPECT_NE(Pattern::PathPattern(8).Hash(), Pattern::PathPattern(12).Hash());
+
+  const CanonicalResult canonical = CanonicalForm(path);
+  EXPECT_EQ(canonical.pattern, path.Permuted(canonical.permutation));
+  std::vector<uint32_t> reversed(12);
+  for (uint32_t v = 0; v < 12; ++v) reversed[v] = 11 - v;
+  EXPECT_EQ(CanonicalForm(path.Permuted(reversed)).pattern, canonical.pattern);
+
+  // Copies, moves and assignments keep value semantics.
+  Pattern copy = path;
+  EXPECT_EQ(copy, path);
+  Pattern moved = std::move(copy);
+  EXPECT_EQ(moved, path);
+  EXPECT_EQ(copy.NumVertices(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy, Pattern());         // NOLINT(bugprone-use-after-move)
+  Pattern assigned = Pattern::Clique(3);
+  assigned = path;
+  EXPECT_EQ(assigned, path);
+  assigned = Pattern::Clique(3);
+  EXPECT_EQ(assigned, Pattern::Clique(3));
+  EXPECT_EQ(assigned.ApproxHeapBytes(), 0u);
+}
+
+TEST(PatternStorageTest, FifteenEdgeSixVertexPatternRoundTrips) {
+  // K6 with edge labels: the densest 6-vertex pattern (catalog graphs).
+  Pattern k6;
+  for (uint32_t v = 0; v < 6; ++v) k6.AddVertex(v % 2);
+  for (uint32_t u = 5; u > 0; --u) {
+    for (uint32_t v = 0; v < u; ++v) k6.AddEdge(u, v, (u + v) % 3);
+  }
+  ASSERT_EQ(k6.NumEdges(), 15u);
+  EXPECT_TRUE(k6.IsClique());
+  EXPECT_EQ(k6.ApproxHeapBytes(), 0u);
+  const std::vector<PatternEdge> edges = EdgeList(k6);
+  EXPECT_EQ(edges.size(), 15u);
+  EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
+  const std::vector<uint32_t> perm = {3, 5, 0, 4, 1, 2};
+  const Pattern shuffled = k6.Permuted(perm);
+  EXPECT_NE(shuffled, k6);
+  EXPECT_EQ(CanonicalForm(shuffled).pattern, CanonicalForm(k6).pattern);
+  EXPECT_TRUE(AreIsomorphic(shuffled, k6));
+  const Pattern k8 = Pattern::Clique(8);  // the largest inline pattern
+  EXPECT_EQ(k8.NumEdges(), Pattern::kInlineEdges);
+  EXPECT_EQ(k8.ApproxHeapBytes(), 0u);
+}
+
+TEST(PatternStorageTest, InlinePatternsNeverAllocate) {
+  if (!AllocGuard::Active()) {
+    GTEST_SKIP() << "alloc-guard runtime not compiled in";
+  }
+  EXPECT_LE(sizeof(Pattern), 256u);
+  uint64_t allocations = 0;
+  {
+    AllocGuard guard(AllocGuard::Mode::kCount);
+    Pattern k8 = Pattern::Clique(8);
+    Pattern copy = k8;
+    Pattern moved = std::move(copy);
+    moved = k8;
+    const bool same = moved == k8 && !(moved < k8) && k8.Hash() != 0;
+    EXPECT_TRUE(same);
+    allocations = guard.allocations();
+  }
+  EXPECT_EQ(allocations, 0u);
 }
 
 TEST(CanonicalTest, PermutationReturnsSelfConsistentResult) {

@@ -11,6 +11,7 @@
 #include "runtime/message_bus.h"
 #include "runtime/telemetry.h"
 #include "runtime/worker.h"
+#include "util/alloc_guard.h"
 
 namespace fractal {
 namespace {
@@ -86,6 +87,29 @@ TEST(CodecTest, RejectsCorruptedPayloads) {
   std::vector<uint8_t> inconsistent = bytes;
   inconsistent[0] = 2;
   EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(inconsistent, &decoded));
+}
+
+TEST(CodecTest, RejectsOversizedCountBeforeAllocating) {
+  // A 12-byte steal payload claiming 2^20 vertices: decoding used to size
+  // the vertex words (4 MB) before noticing the payload cannot hold them.
+  ByteWriter writer;
+  writer.PutU32(1u << 20);
+  writer.PutU32(0);
+  writer.PutU32(0);
+  const std::vector<uint8_t> bytes = writer.bytes();
+  SubgraphEnumerator::StolenWork decoded;
+  bool ok = true;
+  uint64_t allocations = 0;
+  {
+    AllocGuard guard(AllocGuard::Mode::kCount);
+    ok = SubgraphCodec::DecodeStolenWork(bytes, &decoded);
+    allocations = guard.allocations();
+  }
+  EXPECT_FALSE(ok);
+  if (AllocGuard::Active()) {
+    EXPECT_EQ(allocations, 0u);
+  }
+  EXPECT_EQ(decoded.prefix.NumVertices(), 0u);
 }
 
 TEST(MessageBusTest, RequestReplyRoundTrip) {

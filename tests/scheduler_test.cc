@@ -27,6 +27,7 @@
 #include "runtime/fault.h"
 #include "runtime/query_scheduler.h"
 #include "util/status.h"
+#include "util/strings.h"
 
 namespace fractal {
 namespace {
@@ -62,7 +63,7 @@ Fractoid MultiStepFractoid(const FractalGraph& graph, uint32_t rounds,
                            int sleep_micros) {
   Fractoid f = graph.VFractoid().Expand(1).Filter(SleepyFilter(sleep_micros));
   for (uint32_t r = 0; r < rounds; ++r) {
-    const std::string name = "count" + std::to_string(r);
+    const std::string name = StrFormat("count%u", r);
     f = f.Aggregate<uint64_t, uint64_t>(
              name, [](const Subgraph&, Computation&) -> uint64_t { return 0; },
              [](const Subgraph&, Computation&) -> uint64_t { return 1; },
@@ -255,7 +256,7 @@ TEST(AsyncExecutorTest, ConcurrentQueriesMatchSerialExecution) {
   for (size_t i = 0; i < fractoids.size(); ++i) {
     auto handle = ExecuteFractoidAsync(
         fractoids[i], config, scheduler,
-        {.name = "q" + std::to_string(i)});
+        {.name = StrFormat("q%zu", i)});
     ASSERT_TRUE(handle.ok()) << handle.status();
     handles.push_back(*std::move(handle));
   }
@@ -475,7 +476,7 @@ TEST(SchedulerChaosTest, WorkerCrashDuringConcurrentQueries) {
       }
       auto handle = ExecuteFractoidAsync(
           fractoids[i], config, scheduler,
-          {.name = (i == 0 ? "chaos" : "clean-" + std::to_string(i))});
+          {.name = i == 0 ? std::string("chaos") : StrFormat("clean-%d", i)});
       ASSERT_TRUE(handle.ok()) << handle.status();
       handles.push_back(*std::move(handle));
     }

@@ -120,6 +120,8 @@ ALLOC_RE = re.compile(
     r"|(?<![\w.])new\s*\("             # not used in this tree) + new (…)
     r"|\b(?:malloc|calloc|realloc|strdup|aligned_alloc|posix_memalign)\s*\("
     r"|\bmake_unique\b|\bmake_shared\b")
+CALLABLE_MEMBER_RE = re.compile(
+    r"\b(?:std\s*::\s*function\s*<[^;{}]*>|[A-Z]\w*Fn)\s+(\w+_)\s*;")
 THROW_RE = re.compile(r"(?<![\w.])throw\b")
 
 CONTROL_KEYWORDS = {
@@ -350,6 +352,21 @@ class FunctionDef:
             calls.append((m.start(), name, is_member))
         return calls
 
+    def receiver_type(self, call_pos):
+        """Declared class of the receiver of a member call at call_pos, when
+        a `Type name` / `Type& name` / `Type* name` declaration of it is
+        visible in this function's header or body; else None."""
+        recv = self.receiver_of(call_pos)
+        if recv is None:
+            return None
+        m = re.search(r"\b([A-Za-z_]\w*)(?:\s*[&*]+\s*|\s+)" +
+                      re.escape(recv) + r"\s*[;,)=({\[]",
+                      self.header + ";" + self.body)
+        if m is None or m.group(1) in CONTROL_KEYWORDS \
+                or m.group(1) in ("const", "auto"):
+            return None
+        return m.group(1)
+
     def receiver_of(self, call_pos):
         """Immediate receiver identifier of a member call at call_pos, or
         None when the receiver is an expression (then treated non-arena
@@ -483,6 +500,10 @@ class Repo:
         self.nocomment = {}
         self.functions = []
         self.arena_members = set()
+        # Data members holding type-erased callables (std::function or a
+        # `...Fn` alias of one): user callbacks the static walk cannot see
+        # into. The runtime AllocGuard observes them instead.
+        self.callable_members = set()
         for rel in files:
             try:
                 with open(os.path.join(root, rel), encoding="utf-8",
@@ -509,6 +530,8 @@ class Repo:
             for f in extract_functions(rel, code):
                 f.exempt = exempt
                 self.functions.append(f)
+            self.callable_members.update(
+                m.group(1) for m in CALLABLE_MEMBER_RE.finditer(code))
         self.defs_by_name = {}
         for f in self.functions:
             self.defs_by_name.setdefault(f.name, []).append(f)
@@ -536,7 +559,17 @@ class Repo:
                     continue
                 if MACRO_NAME_RE.match(name):
                     continue
+                if name in self.callable_members:
+                    continue
                 defs = self.defs_by_name.get(name)
+                if defs and is_member:
+                    # Same-named methods of other classes are not callees
+                    # when the receiver's declared class has its own.
+                    recv_type = func.receiver_type(pos)
+                    if recv_type is not None:
+                        narrowed = [d for d in defs if
+                                    d.qualname.startswith(recv_type + "::")]
+                        defs = narrowed or defs
                 if defs:
                     for callee in defs:
                         if callee.exempt:
