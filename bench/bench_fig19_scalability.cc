@@ -5,18 +5,65 @@
 //
 // Parallel efficiency is computed from the deterministic work-unit makespan
 // (ideal/actual, external steals charged), the same accounting the
-// load-balance figures use (1-core host; DESIGN.md section 1).
+// load-balance figures use (1-core host; DESIGN.md section 1). A second
+// table measures real wall-clock p50 at 1/2/4 threads for triangles and
+// motifs on the bench/e2e inputs, which shows whether the model's linear
+// scaling holds on the host at hand.
+#include <algorithm>
+#include <functional>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "apps/cliques.h"
 #include "apps/fsm.h"
 #include "apps/motifs.h"
 #include "apps/queries.h"
 #include "bench/bench_util.h"
+#include "runtime/cluster.h"
 
 using namespace fractal;
 
 namespace {
 
 constexpr uint64_t kStealCost = 200;
+
+constexpr int kMeasuredRuns = 7;
+
+/// Median wall time of `run` over kMeasuredRuns executions on a persistent
+/// one-worker cluster of `threads` threads, after one warm-up execution.
+double MeasuredP50(const std::function<void(const ExecutionConfig&)>& run,
+                   uint32_t threads) {
+  ClusterOptions options;
+  options.num_workers = 1;
+  options.threads_per_worker = threads;
+  options.internal_work_stealing = true;
+  Cluster cluster(options);
+  ExecutionConfig config;
+  config.cluster = &cluster;
+  run(config);
+  std::vector<double> seconds;
+  for (int r = 0; r < kMeasuredRuns; ++r) {
+    WallTimer timer;
+    run(config);
+    seconds.push_back(timer.ElapsedSeconds());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
+}
+
+/// The generator parameters of bench/e2e's cliques_orkut and motifs_youtube
+/// inputs (dataset seeds included), in generator vertex order.
+Graph E2eInput(uint32_t vertices, uint32_t edges_per_vertex, double closure,
+               uint64_t dataset_seed) {
+  PowerLawParams params;
+  params.num_vertices = vertices;
+  params.edges_per_vertex = edges_per_vertex;
+  params.label_skew = 1.6;
+  params.triangle_closure = closure;
+  params.seed = dataset_seed;
+  return GeneratePowerLaw(params);
+}
 
 double Efficiency(const std::vector<StepTelemetry>& steps) {
   uint64_t makespan = 0;
@@ -115,5 +162,31 @@ int main(int argc, char** argv) {
                  StrFormat("FSM efficiency (%.2f) does not exceed motifs' "
                            "(%.2f) at 16 cores",
                            fsm_32core, motifs_32core));
+
+  std::printf("\nmeasured wall clock, 1 worker x T threads (p50 of %d "
+              "runs, host with %u hardware threads)\n",
+              kMeasuredRuns, std::thread::hardware_concurrency());
+  FractalGraph orkut = fctx.FromGraph(E2eInput(900, 24, 0.5, 0x0B44));
+  FractalGraph youtube_e2e = fctx.FromGraph(E2eInput(4000, 6, 0.45, 0xCAFE2));
+  const std::vector<
+      std::pair<const char*, std::function<void(const ExecutionConfig&)>>>
+      measured = {
+          {"Triangles (e2e Orkut)",
+           [&](const ExecutionConfig& c) {
+             CliquesFractoid(orkut, 3).CountSubgraphs(c);
+           }},
+          {"Motifs k=3 (e2e Youtube)",
+           [&](const ExecutionConfig& c) { CountMotifs(youtube_e2e, 3, c); }},
+      };
+  std::printf("%-24s | %9s %9s %9s | %7s %7s\n", "kernel", "1T", "2T", "4T",
+              "2T spd", "4T spd");
+  for (const auto& [name, run] : measured) {
+    const double t1 = MeasuredP50(run, 1);
+    const double t2 = MeasuredP50(run, 2);
+    const double t4 = MeasuredP50(run, 4);
+    std::printf("%-24s | %9s %9s %9s | %6.2fx %6.2fx\n", name,
+                bench::Secs(t1).c_str(), bench::Secs(t2).c_str(),
+                bench::Secs(t4).c_str(), t1 / t2, t1 / t4);
+  }
   return 0;
 }

@@ -13,6 +13,10 @@
 #      extension-kernel A/B microbenchmarks (kernels vs. reference scans)
 #      into BENCH_extension.json and gates it against the committed
 #      baseline with tools/bench_compare.py.
+#      An e2e smoke then runs the five bench/e2e workloads (triangles,
+#      motifs, FSM, concurrent pattern queries, keyword search) on small
+#      query pools, checking every answer against its oracle and the exact
+#      per-seed work counts.
 #   2. Chaos sweep: resilience_test's ChaosTest replays CHAOS_SEEDS seeded
 #      random fault plans (worker crashes, dead steal services, dropped and
 #      delayed requests, stragglers) and fails on any result divergence
@@ -70,8 +74,8 @@ JOBS="${JOBS:-$(nproc)}"
 # Every suite that spawns threads (directly or through the Cluster runtime),
 # plus property_test so the kernel-vs-reference differential sweeps over the
 # extension data plane run under ASan/UBSan and TSan on every PR.
-SANITIZED_SUITES='core_test|runtime_test|obs_test|introspection_test|profiler_test|lockdep_test|enumerate_test|property_test|apps_test|extras_test|resilience_test|alloc_guard_test|hot_path_test|scheduler_test'
-SANITIZED_TARGETS='core_test runtime_test obs_test introspection_test profiler_test lockdep_test enumerate_test property_test apps_test extras_test resilience_test alloc_guard_test hot_path_test scheduler_test'
+SANITIZED_SUITES='core_test|runtime_test|obs_test|metrics_publish_test|introspection_test|profiler_test|lockdep_test|enumerate_test|property_test|apps_test|extras_test|resilience_test|alloc_guard_test|hot_path_test|scheduler_test'
+SANITIZED_TARGETS='core_test runtime_test obs_test metrics_publish_test introspection_test profiler_test lockdep_test enumerate_test property_test apps_test extras_test resilience_test alloc_guard_test hot_path_test scheduler_test'
 # Chaos seeds for the fault-injection sweep: a wide sweep on the fast
 # Release build, a narrower one under the (10-20x slower) sanitizers.
 CHAOS_SEEDS="${CHAOS_SEEDS:-32}"
@@ -128,6 +132,17 @@ test -s BENCH_extension.json
 if command -v python3 >/dev/null 2>&1; then
   python3 tools/bench_compare.py \
     bench/baselines/BENCH_extension.json BENCH_extension.json
+fi
+
+echo "=== e2e smoke: five GPM workloads, oracles and exact counts ==="
+# bench/e2e in its smallest form: 5 queries per workload, each checked
+# against its oracle, with the per-seed work-unit and extension-test counts
+# required to agree across cluster shapes. Builds its own Release tree
+# (.bench_build/); about 10 s once that build is warm.
+if command -v python3 >/dev/null 2>&1; then
+  python3 bench/e2e/run.py --smoke
+else
+  echo "python3 not installed; e2e smoke skipped"
 fi
 
 echo "=== chaos: ${CHAOS_SEEDS}-seed random fault plans stay bit-exact ==="

@@ -299,6 +299,13 @@ void FractoidStepTask::Process(ThreadContext& t, CoreState& s,
           s.subgraph.NumEdges() * sizeof(EdgeId);
       s.state_bytes += s.frame_bytes[depth];
       s.peak_state_bytes = std::max(s.peak_state_bytes, s.state_bytes);
+      if (scratch->empty()) {
+        // Nothing to drain and nothing to steal: skip the frame's lock
+        // round trips and prefix copy, but count the empty batch as
+        // Refill would have.
+        obs::LocalHotMetrics().batch_sizes.Record(0);
+        break;
+      }
       frame.Refill(s.subgraph, index + 1, std::move(*scratch.get()));
       DrainFrame(t, s, frame);
       break;

@@ -24,10 +24,10 @@ obs::Counter& EnumerateStealsCounter() {
 FRACTAL_HOT void SubgraphEnumerator::Refill(
     const Subgraph& prefix, uint32_t primitive_index,
     std::vector<uint32_t>&& extensions) {
-  // Span and histogram record before mu_ is taken (and the span's end after
-  // it is released): no trace-buffer work under the enumerator steal lock.
+  // The span opens before mu_ is taken (and ends after it is released): no
+  // trace-buffer work under the enumerator steal lock.
   FRACTAL_TRACE_SPAN_V("enumerate/refill", extensions.size());
-  obs::ExtensionBatchHistogram().Record(extensions.size());
+  obs::LocalHotMetrics().batch_sizes.Record(extensions.size());
   MutexLock lock(mu_);
   prefix_ = prefix;
   primitive_index_ = primitive_index;
@@ -52,7 +52,9 @@ FRACTAL_HOT bool SubgraphEnumerator::TrySteal(StolenWork* out) {
   out->prefix = prefix_;
   out->extension = extensions_[index];
   out->primitive_index = primitive_index_;
-  steals.Add(1);  // lock-free atomic; safe under mu_
+  FRACTAL_HOT_ESCAPE("per-steal accounting: a successful claim, not a work "
+                     "unit; lock-free atomic, safe under mu_");
+  steals.Add(1);
   return true;
 }
 

@@ -6,10 +6,6 @@
 namespace fractal {
 namespace {
 
-obs::Counter& ScratchHits() {
-  static obs::Counter& counter = obs::ScratchHitsCounter();
-  return counter;
-}
 obs::Counter& ScratchMisses() {
   static obs::Counter& counter = obs::ScratchMissesCounter();
   return counter;
@@ -23,7 +19,7 @@ FRACTAL_HOT std::vector<uint32_t>* ScratchArena::Acquire() {
     std::vector<uint32_t>* buffer = free_.back();
     free_.pop_back();
     buffer->clear();
-    ScratchHits().Add(1);
+    ++obs::LocalHotMetrics().scratch_hits;
     return buffer;
   }
   FRACTAL_HOT_ESCAPE("pool miss: the arena warms up to the DFS's peak "

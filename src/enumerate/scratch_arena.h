@@ -15,8 +15,10 @@
 //   * Buffers are cleared on Acquire but keep capacity; callers must not
 //     assume a fresh allocation.
 //
-// Instrumentation: "enumerate.scratch_hits" counts pool reuses,
-// "enumerate.scratch_misses" counts acquisitions that allocated.
+// Instrumentation: "enumerate.scratch_hits" counts pool reuses (on the
+// thread's obs::HotMetrics block, published in batches),
+// "enumerate.scratch_misses" counts acquisitions that allocated (directly:
+// misses are the cold path).
 #ifndef FRACTAL_ENUMERATE_SCRATCH_ARENA_H_
 #define FRACTAL_ENUMERATE_SCRATCH_ARENA_H_
 

@@ -8,16 +8,6 @@ namespace fractal {
 namespace adjacency {
 namespace {
 
-// Cached handles: the registry lookup locks MetricsRegistry::mu once.
-obs::Counter& Intersections() {
-  static obs::Counter& counter = obs::IntersectionKernelsCounter();
-  return counter;
-}
-obs::Counter& Galloped() {
-  static obs::Counter& counter = obs::GallopedKernelsCounter();
-  return counter;
-}
-
 FRACTAL_HOT bool ShouldGallop(size_t smaller, size_t larger) {
   return larger >= kGallopMinLarger && larger / (smaller + 1) >= kGallopRatio;
 }
@@ -125,11 +115,12 @@ FRACTAL_HOT size_t GallopLowerBound(std::span<const uint32_t> haystack, size_t b
 
 FRACTAL_HOT void Intersect(std::span<const uint32_t> a, std::span<const uint32_t> b,
                FRACTAL_ARENA_OUT std::vector<uint32_t>* out) {
-  Intersections().Add(1);
+  obs::HotMetrics& metrics = obs::LocalHotMetrics();
+  ++metrics.intersections;
   if (a.size() > b.size()) std::swap(a, b);
   EnsureHeadroom(out, a.size());  // output is a subset of the smaller side
   if (ShouldGallop(a.size(), b.size())) {
-    Galloped().Add(1);
+    ++metrics.galloped;
     IntersectGallop(a, b, out);
   } else {
     IntersectMerge(a, b, out);
@@ -143,13 +134,14 @@ FRACTAL_HOT void IntersectAbove(std::span<const uint32_t> a, std::span<const uin
 
 FRACTAL_HOT void Difference(std::span<const uint32_t> a, std::span<const uint32_t> b,
                 FRACTAL_ARENA_OUT std::vector<uint32_t>* out) {
-  Intersections().Add(1);
+  obs::HotMetrics& metrics = obs::LocalHotMetrics();
+  ++metrics.intersections;
   EnsureHeadroom(out, a.size());  // output is a subset of a
   if (ShouldGallop(a.size(), b.size())) {
-    Galloped().Add(1);
+    ++metrics.galloped;
     DifferenceGallopProbe(a, b, out);
   } else if (ShouldGallop(b.size(), a.size())) {
-    Galloped().Add(1);
+    ++metrics.galloped;
     DifferenceGallopCopy(a, b, out);
   } else {
     DifferenceMerge(a, b, out);

@@ -9,8 +9,9 @@
 // candidate set has already shrunk but neighbor lists stay large.
 //
 // Instrumentation: every kernel call bumps "enumerate.intersections" and,
-// when the galloping path is chosen, "enumerate.galloped" (obs/metrics.h) —
-// one relaxed fetch_add per *call*, not per element.
+// when the galloping path is chosen, "enumerate.galloped" — one plain
+// increment per *call* on the calling thread's obs::HotMetrics block,
+// published to the registry in batches (obs/metrics.h).
 #ifndef FRACTAL_GRAPH_ADJACENCY_H_
 #define FRACTAL_GRAPH_ADJACENCY_H_
 

@@ -20,6 +20,16 @@ uint64_t Histogram::ApproxPercentile(double p) const {
   return BucketLowerBound(kNumBuckets - 1);
 }
 
+void Histogram::Merge(const LocalHistogram& local) {
+  for (size_t i = 0; i < kNumBuckets; ++i) {
+    if (local.buckets[i] != 0) {
+      buckets_[i].fetch_add(local.buckets[i], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(local.count, std::memory_order_relaxed);
+  sum_.fetch_add(local.sum, std::memory_order_relaxed);
+}
+
 MetricsRegistry& MetricsRegistry::Get() {
   static MetricsRegistry* registry = new MetricsRegistry();  // leaked
   return *registry;
@@ -351,6 +361,75 @@ Histogram& ExtensionBatchHistogram() {
 Histogram& RetryBackoffHistogram() {
   static Histogram& histogram = NamedHistogram("bus.retry_backoff_us");
   return histogram;
+}
+
+// --- Thread-owned hot-path accounting ---------------------------------------
+
+namespace {
+
+/// The registry handles PublishHotMetrics writes to, resolved together once
+/// so the thread-exit publish never takes the registry lock (it can run
+/// after lockdep's own thread_local state is gone).
+struct HotHandles {
+  Counter& work_units = WorkUnitsCounter();
+  Counter& intersections = IntersectionKernelsCounter();
+  Counter& galloped = GallopedKernelsCounter();
+  Counter& scratch_hits = ScratchHitsCounter();
+  Histogram& batch_sizes = ExtensionBatchHistogram();
+};
+
+const HotHandles& Handles() {
+  static const HotHandles handles;
+  return handles;
+}
+
+struct ExitPublisher {
+  ~ExitPublisher() { PublishHotMetrics(); }
+};
+
+thread_local ExitPublisher exit_publisher;
+
+}  // namespace
+
+namespace hot_metrics_internal {
+
+void ArmExitPublish() {
+  AllocGuard::Allow allow("once per thread: thread-exit publish registration");
+  Handles();
+  // Odr-use constructs this thread's ExitPublisher and registers its
+  // destructor with the thread-exit machinery.
+  static_cast<void>(&exit_publisher);
+  tls_hot_metrics.exit_publish_armed = true;
+}
+
+}  // namespace hot_metrics_internal
+
+void PublishHotMetrics() {
+  HotMetrics& m = hot_metrics_internal::tls_hot_metrics;
+  const HotHandles& handles = Handles();
+  if (m.work_units != 0) {
+    handles.work_units.Add(m.work_units);
+    if (m.units_sink != nullptr) {
+      m.units_sink->fetch_add(m.work_units, std::memory_order_relaxed);
+    }
+    m.work_units = 0;
+  }
+  if (m.intersections != 0) {
+    handles.intersections.Add(m.intersections);
+    m.intersections = 0;
+  }
+  if (m.galloped != 0) {
+    handles.galloped.Add(m.galloped);
+    m.galloped = 0;
+  }
+  if (m.scratch_hits != 0) {
+    handles.scratch_hits.Add(m.scratch_hits);
+    m.scratch_hits = 0;
+  }
+  if (m.batch_sizes.count != 0) {
+    handles.batch_sizes.Merge(m.batch_sizes);
+    m.batch_sizes = LocalHistogram{};
+  }
 }
 
 }  // namespace obs

@@ -1,13 +1,18 @@
 // Process-wide metrics registry: named counters, gauges, and log-scale
 // (power-of-two) bucketed histograms, with a text and a JSON dump. Unlike
 // tracing (obs/trace.h), metrics are always on: handles are plain atomics
-// and one update costs a relaxed fetch_add — cheap enough for the runtime's
-// hot paths even on the work-unit counter.
+// and one update costs a relaxed read-modify-write on a line every thread
+// shares.
 //
 // Lookup is by name and locks the registry, so call sites cache the handle:
 //
 //   static obs::Counter& c = obs::MetricsRegistry::Get().GetCounter("x");
 //   c.Add(1);
+//
+// The enumeration hot path does not touch these handles: what it counts per
+// work unit or per DFS node goes into the calling thread's own HotMetrics
+// block (bottom of this header) and reaches the registry in batches, so
+// execution threads never share a cache line per unit (DESIGN.md §6).
 //
 // Handles are never invalidated (the registry leaks; metric objects are
 // node-allocated). Well-known runtime counters used by both the worker
@@ -25,6 +30,7 @@
 #include <memory>
 #include <string>
 
+#include "util/hot_annotations.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -50,6 +56,8 @@ class Gauge {
  private:
   std::atomic<int64_t> value_{0};
 };
+
+struct LocalHistogram;
 
 /// Log-scale histogram: bucket 0 holds the value 0, bucket i (i >= 1) holds
 /// values in [2^(i-1), 2^i - 1]. 65 buckets cover the full uint64 range, so
@@ -77,6 +85,10 @@ class Histogram {
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
   }
+
+  /// Folds a thread-owned accumulator in: one relaxed fetch_add per
+  /// non-empty bucket plus count and sum. Leaves `local` untouched.
+  void Merge(const LocalHistogram& local);
 
   uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -136,7 +148,8 @@ class MetricsRegistry {
 // Cumulative across steps and executions; the per-step barrier snapshot of
 // the same quantities is StepTelemetry (runtime/telemetry.h).
 
-/// Extensions consumed and processed ("runtime.work_units").
+/// Extensions consumed and processed ("runtime.work_units"). Published from
+/// HotMetrics (below), like every counter marked "(HotMetrics)".
 Counter& WorkUnitsCounter();
 /// Successful WS_int claims ("runtime.steals_internal").
 Counter& InternalStealsCounter();
@@ -179,13 +192,13 @@ Counter& StealTimeoutsCounter();
 /// ("bus.requests_dropped").
 Counter& DroppedRequestsCounter();
 /// Sorted-set kernel invocations (intersections and differences) in the
-/// enumeration data plane ("enumerate.intersections").
+/// enumeration data plane ("enumerate.intersections"; HotMetrics).
 Counter& IntersectionKernelsCounter();
 /// Kernel invocations that took the galloping path instead of the linear
-/// merge ("enumerate.galloped").
+/// merge ("enumerate.galloped"; HotMetrics).
 Counter& GallopedKernelsCounter();
 /// ScratchArena buffer acquisitions served from the per-thread pool with no
-/// heap allocation ("enumerate.scratch_hits").
+/// heap allocation ("enumerate.scratch_hits"; HotMetrics).
 Counter& ScratchHitsCounter();
 /// ScratchArena buffer acquisitions that had to allocate — should flatline
 /// once the DFS reaches steady state ("enumerate.scratch_misses").
@@ -236,11 +249,89 @@ Histogram& StealRttHistogram();
 Histogram& EncodeTimeHistogram();
 /// Stolen-work deserialization time in nanoseconds ("codec.decode_ns").
 Histogram& DecodeTimeHistogram();
-/// Extension batch size per enumerator refill ("enumerate.batch_size").
+/// Extension batch size per expanded DFS node, empty ones included
+/// ("enumerate.batch_size"; HotMetrics).
 Histogram& ExtensionBatchHistogram();
 /// Steal-retry backoff sleeps in microseconds, one sample per retry
 /// ("bus.retry_backoff_us").
 Histogram& RetryBackoffHistogram();
+
+// --- Thread-owned hot-path accounting ---------------------------------------
+
+/// Single-owner twin of Histogram: the same bucket layout, updated with
+/// plain increments. Folded into a shared Histogram by Histogram::Merge.
+struct LocalHistogram {
+  uint64_t buckets[Histogram::kNumBuckets] = {};
+  uint64_t count = 0;
+  uint64_t sum = 0;
+
+  void Record(uint64_t value) {
+    ++buckets[Histogram::BucketIndex(value)];
+    ++count;
+    sum += value;
+  }
+};
+
+/// The calling thread's unpublished deltas of the metrics the enumeration
+/// hot path bumps: "runtime.work_units", "enumerate.intersections",
+/// "enumerate.galloped", "enumerate.scratch_hits" and the
+/// "enumerate.batch_size" histogram. Updates are plain increments on
+/// thread-owned memory. PublishHotMetrics folds them into the registry,
+/// one relaxed RMW per touched counter, and that happens:
+///   * every kPublishBatch work units (CountWorkUnit), so live readers
+///     (/statusz, /metricsz, the progress reporter) lag by less than
+///     kPublishBatch units per thread;
+///   * when an execution thread leaves a step, however it leaves (drain,
+///     crash unwind, cancellation), and on the driver thread after the
+///     barrier: registry values are exact at every step barrier;
+///   * at thread exit, for counts made on threads outside the runtime.
+struct HotMetrics {
+  static constexpr uint64_t kPublishBatch = 1024;
+
+  uint64_t work_units = 0;
+  uint64_t intersections = 0;
+  uint64_t galloped = 0;
+  uint64_t scratch_hits = 0;
+  LocalHistogram batch_sizes;
+  /// Also receives the work-unit delta at each publish: the owning
+  /// worker's progress counter (Worker::work_units). Null outside the
+  /// runtime's execution threads.
+  std::atomic<uint64_t>* units_sink = nullptr;
+  /// Whether the thread-exit publish is registered for this thread.
+  bool exit_publish_armed = false;
+};
+
+namespace hot_metrics_internal {
+// Constant-initialized and trivially destructible: no TLS init guard on
+// access. The thread-exit publish lives in a separate thread_local
+// (metrics.cc), registered once per thread by ArmExitPublish.
+inline constinit thread_local HotMetrics tls_hot_metrics;
+void ArmExitPublish();
+}  // namespace hot_metrics_internal
+
+/// The calling thread's HotMetrics block.
+FRACTAL_HOT inline HotMetrics& LocalHotMetrics() {
+  HotMetrics& metrics = hot_metrics_internal::tls_hot_metrics;
+  if (!metrics.exit_publish_armed) [[unlikely]] {
+    FRACTAL_HOT_ESCAPE("once per thread: registers the thread-exit publish");
+    hot_metrics_internal::ArmExitPublish();
+  }
+  return metrics;
+}
+
+/// Folds the calling thread's HotMetrics deltas into the registry (and the
+/// work-unit delta into its units_sink), then zeroes them.
+void PublishHotMetrics();
+
+/// Counts one work unit; publishes the thread's block every kPublishBatch.
+FRACTAL_HOT inline void CountWorkUnit() {
+  HotMetrics& metrics = LocalHotMetrics();
+  if (++metrics.work_units >= HotMetrics::kPublishBatch) {
+    FRACTAL_HOT_ESCAPE("batch publish: one RMW per touched counter, once "
+                       "per kPublishBatch work units");
+    PublishHotMetrics();
+  }
+}
 
 }  // namespace obs
 }  // namespace fractal

@@ -3,6 +3,9 @@
 // interval deltas and publishes them as gauges (`runtime.units_per_sec`,
 // per-worker `runtime.worker_units.<w>`) so every consumer — the periodic
 // log line, /statusz, tests — renders the same snapshot from one code path.
+// Work units reach those counters in batches (obs::HotMetrics), so a
+// mid-step sample trails the true count by less than
+// HotMetrics::kPublishBatch units per execution thread.
 //
 // A StepProgressReporter owns one background thread that drives a sampler
 // every interval and logs the result, so a long fractal step shows signs of

@@ -401,6 +401,10 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
     }
   }
   obs::StepActiveGauge().Set(0);
+  // Execution threads published their HotMetrics when they left the step;
+  // the driver's own counts (e.g. the root extensions computed before
+  // RunStep) join them here, so the registry is exact at the barrier.
+  obs::PublishHotMetrics();
 
   StepResult result;
   result.live_workers = live_workers;

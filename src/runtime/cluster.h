@@ -192,6 +192,12 @@ class Cluster {
   /// cluster still constructs; introspection is never load-bearing).
   int statusz_port() const;
 
+  /// Cumulative work units per worker, indexed by worker id, for the
+  /// progress sampler and /statusz (delegates to Worker::work_units: exact
+  /// at step barriers, behind by less than HotMetrics::kPublishBatch units
+  /// per thread mid-step).
+  void SampleWorkerUnits(std::vector<uint64_t>* out) const;
+
   /// The /statusz page body (exposed for tests; served by the embedded
   /// server). Reads only atomics and the statusz progress sampler, plus any
   /// registered sections (which run under statusz_mu_).
@@ -234,10 +240,6 @@ class Cluster {
     /// step runs without lineage tracking.
     LineageLedger* lineage = nullptr;
   };
-
-  /// Cumulative work units per worker, for the progress sampler and
-  /// /statusz (delegates to Worker::work_units).
-  void SampleWorkerUnits(std::vector<uint64_t>* out) const;
 
   /// One waiter at the admission gate. Lives on the RunStep caller's stack;
   /// registered in gate_waiters_ while waiting.

@@ -26,7 +26,6 @@ Worker::Worker(Cluster* cluster, uint32_t worker_id)
     t->worker_id = worker_id_;
     t->local_core = core;
     t->core_id = worker_id_ * per_worker + core;
-    t->worker_units = &work_units_;
     t->jitter = SplitMix64(0x9e3779b9u ^ (uint64_t{t->core_id} << 17));
     threads_.push_back(std::move(t));
   }
@@ -73,6 +72,9 @@ void Worker::ThreadLoop(ThreadContext& t) {
         worker_id_ + 1, t.local_core, StrFormat("core%u", t.local_core),
         StrFormat("worker%u", worker_id_));
   }
+  // Work units counted on this thread reach the worker's progress counter
+  // at each HotMetrics publish.
+  obs::LocalHotMetrics().units_sink = &work_units_;
   uint64_t seen_generation = 0;
   while (true) {
     {
@@ -186,6 +188,11 @@ FRACTAL_HOT void Worker::RunStepOnThread(ThreadContext& t) {
     }
   }
   task.FinishThread(t);
+  {
+    FRACTAL_HOT_ESCAPE("leaving the step: the thread's counts reach the "
+                       "registry before the barrier, once per step");
+    obs::PublishHotMetrics();
+  }
   t.stats.finish_micros = control.timer.ElapsedMicros();
   t.stats.busy_seconds = t.busy_seconds;
   t.lineage = nullptr;
@@ -203,6 +210,8 @@ FRACTAL_HOT bool Worker::ClaimInternalWork(ThreadContext& t,
       if (!frame.LooksNonEmpty()) continue;
       if (frame.TrySteal(out)) {
         ++t.stats.internal_steals;
+        FRACTAL_HOT_ESCAPE("per-steal accounting: a successful claim, not a "
+                           "work unit");
         obs::InternalStealsCounter().Add(1);
         if (t.lineage != nullptr) {
           FRACTAL_HOT_ESCAPE("lineage stamping: once per steal, not per "

@@ -93,11 +93,6 @@ struct ThreadContext {
   /// Valid for the duration of a step.
   StepControl* control = nullptr;
 
-  /// Owning worker's cumulative work-unit counter (Worker::work_units_),
-  /// bumped alongside the process-wide counter so the progress sampler and
-  /// /statusz can attribute throughput per worker. Set once at construction.
-  std::atomic<uint64_t>* worker_units = nullptr;
-
   /// Deterministic per-thread stream for steal-retry backoff jitter.
   SplitMix64 jitter{0};
 
@@ -111,11 +106,13 @@ struct ThreadContext {
   /// dropping its in-flight state (including thread-local aggregation
   /// accumulators), while the surviving workers drain their own frames to
   /// the barrier — the step is then re-executed from scratch. With no
-  /// injector armed the hook costs a single predictable-branch load.
+  /// injector armed the hook costs a single predictable-branch load. The
+  /// count itself touches thread-owned memory only: the registry and the
+  /// worker's progress counter see it at the next batch publish
+  /// (obs::HotMetrics).
   FRACTAL_HOT bool ConsumeWorkUnit() {
     ++stats.work_units;
-    obs::WorkUnitsCounter().Add(1);
-    worker_units->fetch_add(1, std::memory_order_relaxed);
+    obs::CountWorkUnit();
     // Cooperative cancellation (DESIGN.md §12): a false return unwinds the
     // enumeration exactly like a crash — frames deactivate on the way out
     // and the thread reaches the step barrier within one work unit.
@@ -173,7 +170,10 @@ class Worker {
   }
 
   /// Work units consumed by this worker across all steps (live, sampleable
-  /// mid-step; the per-worker analogue of obs::WorkUnitsCounter).
+  /// mid-step; the per-worker analogue of obs::WorkUnitsCounter). Its
+  /// threads credit it at each HotMetrics publish, so mid-step it lags by
+  /// less than HotMetrics::kPublishBatch units per thread, and it is exact
+  /// at step barriers.
   uint64_t work_units() const {
     return work_units_.load(std::memory_order_relaxed);
   }
@@ -216,7 +216,8 @@ class Worker {
 
   Cluster* cluster_;
   uint32_t worker_id_;
-  /// Cumulative work units over this worker's threads (see work_units()).
+  /// Cumulative work units over this worker's threads (see work_units());
+  /// the units_sink of each execution thread's HotMetrics block.
   std::atomic<uint64_t> work_units_{0};
   /// One slot per potential victim (indexed by worker id).
   std::vector<VictimHealth> victim_health_;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -14,11 +16,14 @@
 #include <vector>
 
 #include "apps/motifs.h"
+#include "core/computation.h"
 #include "core/context.h"
 #include "graph/generators.h"
+#include "graph/test_graphs.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
+#include "runtime/cluster.h"
 #include "util/mutex.h"
 
 namespace fractal {
@@ -359,14 +364,59 @@ TEST(MetricsTest, DumpsContainRecordedMetrics) {
 
 // --- Step-progress reporter ------------------------------------------------
 
-TEST(ProgressTest, ReporterStartsSamplesAndStops) {
-  obs::WorkUnitsCounter().Add(17);  // give it something to report
-  {
-    obs::StepProgressReporter reporter(/*interval_ms=*/5);
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    obs::WorkUnitsCounter().Add(100);
-  }  // destructor must stop and join without deadlock
-  SUCCEED();
+TEST(ProgressTest, SamplerSeesWorkerDeltasBeforeTheBarrier) {
+  // Two workers of one thread each, every thread holding more than four
+  // publish batches of roots: a live sampler must see each worker's units
+  // arrive batch by batch while the step runs, not all at the barrier. The
+  // sleepy filter stretches the step so samples land mid-step; the step's
+  // own progress reporter runs alongside and must stop cleanly.
+  constexpr uint32_t kWorkers = 2;
+  constexpr uint32_t kRootsPerThread =
+      4 * obs::HotMetrics::kPublishBatch + 512;
+  ClusterOptions options;
+  options.num_workers = kWorkers;
+  options.threads_per_worker = 1;
+  options.external_work_stealing = false;
+  options.progress_interval_ms = 50;
+  Cluster cluster(options);
+  FractalContext fctx;
+  const FractalGraph graph =
+      fctx.FromGraph(testgraphs::Path(kWorkers * kRootsPerThread));
+  LocalFilterFn sleepy = [](const Subgraph&, Computation&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    return true;
+  };
+  ExecutionConfig config;
+  config.cluster = &cluster;
+  obs::ProgressSampler sampler([&cluster](std::vector<uint64_t>* out) {
+    cluster.SampleWorkerUnits(out);
+  });
+
+  std::atomic<bool> done{false};
+  uint64_t count = 0;
+  std::thread driver([&] {
+    count = graph.VFractoid().Expand(1).Filter(sleepy).CountSubgraphs(config);
+    done.store(true);
+  });
+  // Per worker: samples that saw its units grow while the step was still
+  // in flight (the step-active gauge drops only after the barrier).
+  std::vector<uint32_t> live_samples(kWorkers, 0);
+  while (!done.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const obs::ProgressSnapshot snapshot = sampler.Sample();
+    if (obs::StepActiveGauge().Value() != 1) continue;
+    ASSERT_EQ(snapshot.worker_units_delta.size(), kWorkers);
+    for (uint32_t w = 0; w < kWorkers; ++w) {
+      if (snapshot.worker_units_delta[w] > 0) ++live_samples[w];
+    }
+  }
+  driver.join();
+  EXPECT_EQ(count, uint64_t{kWorkers} * kRootsPerThread);
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    // At least two distinct arrivals: a thread's final publish when it
+    // leaves the step is one, so any more come from mid-step batches.
+    EXPECT_GE(live_samples[w], 2u) << "worker " << w;
+  }
 }
 
 TEST(ProgressTest, CondVarWaitForTimesOut) {

@@ -11,6 +11,12 @@ hot_annotations.h) and reports, for everything reachable:
   throw                 throw statements
   unannotated-external  a call to a free function with no in-repo definition
                         and no whitelist entry
+  shared-metric         obs::Counter::Add, Histogram::Record/Merge or
+                        Gauge::Set: a relaxed RMW on a line every execution
+                        thread shares. Hot code counts into the thread's
+                        obs::HotMetrics block, which publishes in batches
+                        (DESIGN.md §6); per-steal sites and the batch
+                        publish itself sit behind FRACTAL_HOT_ESCAPE
 
 plus two repo-hygiene rules checked everywhere (not just on hot paths):
 
@@ -124,6 +130,18 @@ CALLABLE_MEMBER_RE = re.compile(
     r"\b(?:std\s*::\s*function\s*<[^;{}]*>|[A-Z]\w*Fn)\s+(\w+_)\s*;")
 THROW_RE = re.compile(r"(?<![\w.])throw\b")
 
+# shared-metric: the write methods of each shared metric class, and the
+# declarations that hand out references to one (`Counter& WorkUnitsCounter()`,
+# `Counter& GetCounter(...)`) so `Fn().Add(1)` resolves to Counter::Add.
+SHARED_METRIC_WRITES = {
+    "Counter": {"Add"},
+    "Histogram": {"Record", "Merge"},
+    "Gauge": {"Set"},
+}
+METRIC_HANDLE_RE = re.compile(
+    r"\b(Counter|Histogram|Gauge)\s*&\s*(?:[A-Za-z_]\w*\s*::\s*)*"
+    r"([A-Za-z_]\w*)\s*\(")
+
 CONTROL_KEYWORDS = {
     "if", "for", "while", "switch", "do", "else", "return", "catch", "try",
     "namespace", "class", "struct", "enum", "union", "sizeof", "alignof",
@@ -143,7 +161,7 @@ TRACE_USE_RE = re.compile(
 ENDPOINT_USE_RE = re.compile(r'\bAddEndpoint\s*\(\s*"([^"]+)"')
 
 RULES = ("allocation", "stl-growth", "throw", "unannotated-external",
-         "raw-mutex", "metric-name")
+         "shared-metric", "raw-mutex", "metric-name")
 
 
 class Finding:
@@ -367,24 +385,46 @@ class FunctionDef:
             return None
         return m.group(1)
 
+    def receiver_text(self, call_pos):
+        """Code before the `.`/`->` of a member call at call_pos, right-
+        stripped, or None when the call at call_pos is not a member call."""
+        before = self.body[:call_pos].rstrip()
+        if before.endswith("->"):
+            return before[:-2].rstrip()
+        if before.endswith("."):
+            return before[:-1].rstrip()
+        return None
+
+    def receiver_call(self, call_pos):
+        """Name of the function whose result receives a member call at
+        call_pos (`Fn().Add(1)`, `obs::Fn().Add(1)`), or None when the
+        receiver is not a call expression."""
+        before = self.receiver_text(call_pos)
+        if before is None or not before.endswith(")"):
+            return None
+        depth = 0
+        for i in range(len(before) - 1, -1, -1):
+            if before[i] == ")":
+                depth += 1
+            elif before[i] == "(":
+                depth -= 1
+                if depth == 0:
+                    m = re.search(r"([A-Za-z_]\w*)\s*$", before[:i])
+                    return m.group(1) if m else None
+        return None
+
     def receiver_of(self, call_pos):
         """Immediate receiver identifier of a member call at call_pos, or
         None when the receiver is an expression (then treated non-arena
         unless it is a (*lease)-style deref of an arena local)."""
-        before = self.body[:call_pos].rstrip()
-        if before.endswith("->"):
-            before = before[:-2]
-        elif before.endswith("."):
-            before = before[:-1]
-        else:
+        before = self.receiver_text(call_pos)
+        if before is None:
             return None
-        before = before.rstrip()
         m = re.search(r"\(\s*\*\s*(\w+)\s*\)$", before)
         if m:
             return m.group(1)
         m = re.search(r"(\w+)$", before)
         return m.group(1) if m else None
-
 
 def split_top_level(text, sep):
     parts, depth, cur = [], 0, []
@@ -504,6 +544,8 @@ class Repo:
         # `...Fn` alias of one): user callbacks the static walk cannot see
         # into. The runtime AllocGuard observes them instead.
         self.callable_members = set()
+        # Function name -> shared metric class it returns a reference to.
+        self.metric_handles = {}
         for rel in files:
             try:
                 with open(os.path.join(root, rel), encoding="utf-8",
@@ -532,6 +574,8 @@ class Repo:
                 self.functions.append(f)
             self.callable_members.update(
                 m.group(1) for m in CALLABLE_MEMBER_RE.finditer(code))
+            for m in METRIC_HANDLE_RE.finditer(code):
+                self.metric_handles[m.group(2)] = m.group(1)
         self.defs_by_name = {}
         for f in self.functions:
             self.defs_by_name.setdefault(f.name, []).append(f)
@@ -564,8 +608,10 @@ class Repo:
                 defs = self.defs_by_name.get(name)
                 if defs and is_member:
                     # Same-named methods of other classes are not callees
-                    # when the receiver's declared class has its own.
-                    recv_type = func.receiver_type(pos)
+                    # when the receiver's declared (or, for a metric handle
+                    # call, returned) class has its own.
+                    recv_type = func.receiver_type(pos) or \
+                        self.metric_handles.get(func.receiver_call(pos))
                     if recv_type is not None:
                         narrowed = [d for d in defs if
                                     d.qualname.startswith(recv_type + "::")]
@@ -647,7 +693,29 @@ class Repo:
                    "(in '%s'); lease it from the ScratchArena, annotate it "
                    "FRACTAL_ARENA_OUT, or audit with FRACTAL_HOT_ESCAPE"
                    % (recv or "<expr>", name, func.qualname))
+        for pos, name, is_member in func.calls:
+            if not is_member or func.is_suppressed(pos):
+                continue
+            metric_class = self.shared_metric_receiver(func, pos)
+            if metric_class is None \
+                    or name not in SHARED_METRIC_WRITES[metric_class]:
+                continue
+            report(pos, "shared-metric",
+                   "'%s::%s' reachable from a FRACTAL_HOT root (in '%s') "
+                   "writes a cache line every execution thread shares; count "
+                   "into obs::LocalHotMetrics() (published in batches) or "
+                   "audit a per-steal/per-step site with FRACTAL_HOT_ESCAPE"
+                   % (metric_class, name, func.qualname))
         return findings
+
+    def shared_metric_receiver(self, func, pos):
+        """Shared metric class (Counter/Histogram/Gauge) the receiver of the
+        member call at pos is declared as or returned as, else None."""
+        fn = func.receiver_call(pos)
+        if fn is not None:
+            return self.metric_handles.get(fn)
+        recv_type = func.receiver_type(pos)
+        return recv_type if recv_type in SHARED_METRIC_WRITES else None
 
     # -- repo-hygiene rules ------------------------------------------------
 
