@@ -220,7 +220,8 @@ fi
 
 echo "=== alloc-guard: zero steady-state allocations, abort on regression ==="
 # The runtime backstop for whatever the static walk cannot see: full-cluster
-# runs of all three extension strategies and of CountMotifs with the
+# runs of all four extension strategies (vertex-induced, edge-induced,
+# KClist, pattern-induced) and of CountMotifs with the
 # operator new interposer armed to abort. Any post-warm-up heap allocation on an enumeration thread
 # kills the test.
 FRACTAL_ALLOC_GUARD=abort ./build-ci/tests/hot_path_test

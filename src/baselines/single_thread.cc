@@ -5,6 +5,7 @@
 
 #include "enumerate/extension.h"
 #include "enumerate/subgraph.h"
+#include "pattern/automorphism.h"
 #include "pattern/canonical.h"
 #include "util/random.h"
 
@@ -152,25 +153,123 @@ std::unordered_map<Pattern, uint64_t, PatternHash> TunedMotifCounts(
 }
 
 uint64_t TunedQueryCount(const Graph& graph, const Pattern& query) {
-  const PatternInducedStrategy strategy(query);
-  ExtensionContext ctx;
-  Subgraph subgraph;
+  // Symmetry-broken matching DFS over pattern positions, sharing nothing
+  // with the pattern-induced extension strategy it serves as an oracle for.
+  const uint32_t n = query.NumVertices();
+  FRACTAL_CHECK(n >= 1 && query.IsConnected());
+  // Matching order: the highest-degree position, then repeatedly the
+  // position with the most links into the placed prefix.
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> rank(n, UINT32_MAX);
+  uint32_t start = 0;
+  for (uint32_t p = 1; p < n; ++p) {
+    if (query.Degree(p) > query.Degree(start)) start = p;
+  }
+  rank[start] = 0;
+  order.push_back(start);
+  while (order.size() < n) {
+    uint32_t best = UINT32_MAX;
+    uint32_t best_links = 0;
+    for (uint32_t p = 0; p < n; ++p) {
+      if (rank[p] != UINT32_MAX) continue;
+      uint32_t links = 0;
+      for (const uint32_t placed : order) links += query.IsAdjacent(p, placed);
+      if (links > best_links) {
+        best = p;
+        best_links = links;
+      }
+    }
+    rank[best] = static_cast<uint32_t>(order.size());
+    order.push_back(best);
+  }
+  // Per step: links to earlier positions (with the edge label), and the
+  // earlier positions whose match bounds this one from below / above.
+  struct Link {
+    uint32_t position;
+    Label label;
+  };
+  std::vector<std::vector<Link>> links(n);
+  std::vector<std::vector<uint32_t>> above(n), below(n);
+  for (uint32_t step = 1; step < n; ++step) {
+    for (uint32_t earlier = 0; earlier < step; ++earlier) {
+      if (query.IsAdjacent(order[step], order[earlier])) {
+        links[step].push_back(
+            {order[earlier], query.EdgeLabelBetween(order[step],
+                                                    order[earlier])});
+      }
+    }
+  }
+  for (const SymmetryCondition& c : SymmetryBreakingConditions(query)) {
+    if (rank[c.larger] > rank[c.smaller]) {
+      above[rank[c.larger]].push_back(c.smaller);
+    } else {
+      below[rank[c.smaller]].push_back(c.larger);
+    }
+  }
+
+  std::vector<VertexId> match(n, kInvalidVertex);
+  std::vector<uint8_t> used(graph.NumVertices(), 0);
   uint64_t count = 0;
-  const uint32_t target = query.NumVertices();
-  std::function<void(uint32_t)> recurse = [&](uint32_t depth) {
-    if (depth == target) {
+  std::function<void(uint32_t)> extend = [&](uint32_t step) {
+    if (step == n) {
       ++count;
       return;
     }
-    std::vector<uint32_t> extensions;
-    strategy.ComputeExtensions(graph, subgraph, ctx, &extensions);
-    for (const uint32_t extension : extensions) {
-      strategy.Apply(graph, extension, &subgraph);
-      recurse(depth + 1);
-      strategy.Undo(graph, &subgraph);
+    const uint32_t position = order[step];
+    const Label wanted = query.VertexLabel(position);
+    if (step == 0) {
+      for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+        if (!graph.IsVertexActive(v) || graph.VertexLabel(v) != wanted) {
+          continue;
+        }
+        match[position] = v;
+        used[v] = 1;
+        extend(1);
+        used[v] = 0;
+      }
+      return;
+    }
+    VertexId low = 0;
+    VertexId high = kInvalidVertex;
+    for (const uint32_t p : above[step]) low = std::max(low, match[p] + 1);
+    for (const uint32_t p : below[step]) high = std::min(high, match[p]);
+    // Walk the smallest linked neighborhood within [low, high); probe the
+    // other links by binary search.
+    const Link* pivot = &links[step][0];
+    for (const Link& link : links[step]) {
+      if (graph.Degree(match[link.position]) <
+          graph.Degree(match[pivot->position])) {
+        pivot = &link;
+      }
+    }
+    const auto neighbors = graph.Neighbors(match[pivot->position]);
+    const auto edges = graph.IncidentEdges(match[pivot->position]);
+    for (size_t i = static_cast<size_t>(
+             std::lower_bound(neighbors.begin(), neighbors.end(), low) -
+             neighbors.begin());
+         i < neighbors.size() && neighbors[i] < high; ++i) {
+      const VertexId u = neighbors[i];
+      if (used[u] || graph.VertexLabel(u) != wanted ||
+          graph.GetEdgeLabel(edges[i]) != pivot->label) {
+        continue;
+      }
+      bool ok = true;
+      for (const Link& link : links[step]) {
+        if (&link == pivot) continue;
+        const auto edge = graph.EdgeBetween(match[link.position], u);
+        if (!edge || graph.GetEdgeLabel(*edge) != link.label) {
+          ok = false;
+          break;
+        }
+      }
+      if (!ok) continue;
+      match[position] = u;
+      used[u] = 1;
+      extend(step + 1);
+      used[u] = 0;
     }
   };
-  recurse(0);
+  extend(0);
   return count;
 }
 

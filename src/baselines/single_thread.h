@@ -1,9 +1,12 @@
 // Tuned single-thread baselines for the COST analysis (paper §5.2.4,
 // Fig. 18/20b: Gtries for motifs/cliques/queries, Grami for FSM, Neo4j's
 // built-in triangle counting, KClist for optimized cliques, and Doulion
-// for sampled triangles). These are independent tight-loop implementations:
-// no fractoid machinery, no work stealing, no telemetry — the "efficient
-// single-thread implementation" a parallel system must beat.
+// for sampled triangles). These are tight-loop implementations: no fractoid
+// machinery, no work stealing, no telemetry — the "efficient single-thread
+// implementation" a parallel system must beat. The triangle, clique and
+// query counters share no enumeration code with the system; the motif and
+// FSM baselines drive the library's VertexInducedStrategy and
+// EdgeInducedStrategy respectively, so they are not independent of them.
 #ifndef FRACTAL_BASELINES_SINGLE_THREAD_H_
 #define FRACTAL_BASELINES_SINGLE_THREAD_H_
 
@@ -29,7 +32,9 @@ uint64_t TunedCliqueCount(const Graph& graph, uint32_t k);
 std::unordered_map<Pattern, uint64_t, PatternHash> TunedMotifCounts(
     const Graph& graph, uint32_t k);
 
-/// Gtries-style subgraph query counting: symmetry-broken matching DFS.
+/// Gtries-style subgraph query counting: symmetry-broken matching DFS with
+/// its own matching order and candidate loop (the oracle for the
+/// pattern-induced extension strategy).
 uint64_t TunedQueryCount(const Graph& graph, const Pattern& query);
 
 /// Grami-style FSM: level-wise pattern-growth DFS with MNI domains.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
+#include <span>
 
 #include "enumerate/reference_extension.h"
 #include "graph/adjacency.h"
@@ -38,6 +40,26 @@ FRACTAL_HOT void FilterInBitmap(FRACTAL_ARENA_OUT std::vector<uint32_t>& v,
     if (((row[x >> 6] >> (x & 63)) & 1) != 0) v[w++] = x;
   }
   v.resize(w);
+}
+
+/// Narrows the working set `candidates` against a hub's bitmap row, keeping
+/// either the hub's neighbors (`keep_neighbors`) or everything else. A
+/// working set that still views the graph's adjacency is first copied into
+/// `*buffer`, which the in-place filter then compacts; returns the result.
+FRACTAL_HOT std::span<const uint32_t> FilterByHub(
+    std::span<const uint32_t> candidates, const uint64_t* row,
+    bool keep_neighbors, FRACTAL_ARENA_OUT std::vector<uint32_t>* buffer) {
+  if (candidates.data() != buffer->data()) {
+    buffer->clear();
+    adjacency::EnsureHeadroom(buffer, candidates.size());
+    buffer->insert(buffer->end(), candidates.begin(), candidates.end());
+  }
+  if (keep_neighbors) {
+    FilterInBitmap(*buffer, row);
+  } else {
+    FilterNotInBitmap(*buffer, row);
+  }
+  return *buffer;
 }
 
 }  // namespace
@@ -281,8 +303,36 @@ PatternInducedStrategy::PatternInducedStrategy(Pattern pattern,
     }
     FRACTAL_CHECK(!required_neighbors_[step].empty());
   }
+
+  induced_exclusions_.resize(n);
+  if (semantics_ == MatchSemantics::kInduced) {
+    for (uint32_t step = 1; step < n; ++step) {
+      for (uint32_t earlier = 0; earlier < step; ++earlier) {
+        if (!pattern_.IsAdjacent(plan_order_[step], plan_order_[earlier])) {
+          induced_exclusions_[step].push_back(earlier);
+        }
+      }
+    }
+  }
 }
 
+// Pattern-induced extension as set algebra (proof sketch in DESIGN.md §8).
+// The scan it replaces (the test oracle in tests/property_test.cc) walks
+// the neighbors of the smallest-degree required neighbor (the pivot) and
+// keeps u when u has the wanted label, is not yet matched, has an edge with
+// the wanted label to every required neighbor, (induced) has no edge to an
+// earlier step the pattern leaves unlinked, and meets every symmetry
+// condition between this step and an earlier one. That set is
+//
+//   ext_k = (N(m[r_0]) ∩ ... ∩ N(m[r_t]), restricted to low <= u < high)
+//           \ N(m[j]) for every earlier j not pattern-adjacent to k
+//
+// filtered by label and containment: the intersections are "adjacent to
+// every required neighbor", the differences (induced only) are the induced
+// check, and [low, high) is the symmetry conditions folded into one id
+// range. Edge labels are checked per survivor, and only on graphs with more
+// than one edge label. Kernel outputs are ascending like the pivot's list,
+// so the emission order is the scan's too.
 FRACTAL_HOT void PatternInducedStrategy::ComputeExtensions(
     const Graph& graph, const Subgraph& subgraph, ExtensionContext& ctx,
     FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const {
@@ -292,24 +342,23 @@ FRACTAL_HOT void PatternInducedStrategy::ComputeExtensions(
 
   if (step == 0) {
     FRACTAL_HOT_ESCAPE("root enumeration runs once per step, not per node");
+    // No symmetry condition can involve an earlier step yet.
     const Label wanted = FirstLabel();
     for (VertexId v = 0; v < graph.NumVertices(); ++v) {
       ++ctx.extension_tests;
-      if (!graph.IsVertexActive(v)) continue;
-      if (graph.VertexLabel(v) != wanted) continue;
-      bool ok = true;
-      // Conditions where step 0 must be larger can never involve an earlier
-      // step; nothing to check yet.
-      if (ok) out->push_back(v);
+      if (graph.IsVertexActive(v) && graph.VertexLabel(v) == wanted) {
+        out->push_back(v);
+      }
     }
     return;
   }
 
   const auto matched = subgraph.Vertices();
-  const Label wanted = pattern_.VertexLabel(plan_order_[step]);
   const auto& required = required_neighbors_[step];
 
-  // Scan the neighbor list of the required neighbor with smallest degree.
+  // Seed with the smallest-degree required neighbor's list. EC parity with
+  // the scan: it charged one test per pivot neighbor and never exited
+  // early, so the charge is the pivot's degree, in bulk.
   uint32_t pivot = 0;
   for (uint32_t i = 1; i < required.size(); ++i) {
     if (graph.Degree(matched[required[i].step]) <
@@ -317,45 +366,89 @@ FRACTAL_HOT void PatternInducedStrategy::ComputeExtensions(
       pivot = i;
     }
   }
-
   const auto pivot_neighbors = graph.Neighbors(matched[required[pivot].step]);
-  // Survivors of this scan are a subset of the pivot's neighbor list.
-  adjacency::EnsureHeadroom(out, pivot_neighbors.size());
-  for (const VertexId u : pivot_neighbors) {
-    ++ctx.extension_tests;
-    if (graph.VertexLabel(u) != wanted) continue;
-    if (subgraph.ContainsVertex(u)) continue;
-    bool ok = true;
+  ctx.extension_tests += pivot_neighbors.size();
+
+  // With one edge label in the graph, each required label matches it for
+  // every candidate or for none.
+  const std::optional<Label> uniform_label = graph.UniformEdgeLabel();
+  if (uniform_label) {
     for (const RequiredNeighbor& req : required) {
-      const auto edge = graph.EdgeBetween(matched[req.step], u);
-      if (!edge || graph.GetEdgeLabel(*edge) != req.edge_label) {
-        ok = false;
-        break;
-      }
+      if (req.edge_label != *uniform_label) return;
     }
-    if (ok && semantics_ == MatchSemantics::kInduced) {
-      // Induced: no graph edge may exist where the pattern has none.
-      for (uint32_t earlier = 0; earlier < step && ok; ++earlier) {
-        if (!pattern_.IsAdjacent(plan_order_[earlier], plan_order_[step]) &&
-            graph.IsAdjacent(matched[earlier], u)) {
-          ok = false;
+  }
+
+  // Symmetry conditions against earlier steps, as the id range [low, high).
+  VertexId low = 0;
+  VertexId high = kInvalidVertex;
+  for (const SymmetryCondition& condition : plan_conditions_) {
+    if (condition.larger == step && condition.smaller < step) {
+      low = std::max(low, matched[condition.smaller] + 1);
+    } else if (condition.smaller == step && condition.larger < step) {
+      high = std::min(high, matched[condition.larger]);
+    }
+  }
+  if (low >= high) return;
+  const auto first =
+      std::lower_bound(pivot_neighbors.begin(), pivot_neighbors.end(), low);
+  const auto last = std::lower_bound(first, pivot_neighbors.end(), high);
+  std::span<const uint32_t> candidates = pivot_neighbors.subspan(
+      static_cast<size_t>(first - pivot_neighbors.begin()),
+      static_cast<size_t>(last - first));
+
+  // Merge/gallop passes against sorted lists first, each reading
+  // `candidates` and writing the spare buffer; then the hubs' bitmap
+  // filters, in place.
+  ScratchArena::BufferLease cur_lease(ctx.arena);
+  ScratchArena::BufferLease next_lease(ctx.arena);
+  std::vector<uint32_t>* cur = cur_lease.get();
+  std::vector<uint32_t>* next = next_lease.get();
+  for (uint32_t i = 0; i < required.size() && !candidates.empty(); ++i) {
+    const VertexId neighbor = matched[required[i].step];
+    if (i == pivot || graph.HubRow(neighbor) != nullptr) continue;
+    next->clear();
+    adjacency::Intersect(candidates, graph.Neighbors(neighbor), next);
+    std::swap(cur, next);
+    candidates = *cur;
+  }
+  const std::vector<uint32_t>& exclusions = induced_exclusions_[step];
+  for (const uint32_t earlier : exclusions) {
+    if (candidates.empty()) break;
+    if (graph.HubRow(matched[earlier]) != nullptr) continue;
+    next->clear();
+    adjacency::Difference(candidates, graph.Neighbors(matched[earlier]), next);
+    std::swap(cur, next);
+    candidates = *cur;
+  }
+  for (uint32_t i = 0; i < required.size() && !candidates.empty(); ++i) {
+    if (i == pivot) continue;
+    if (const uint64_t* row = graph.HubRow(matched[required[i].step])) {
+      candidates = FilterByHub(candidates, row, /*keep_neighbors=*/true, cur);
+    }
+  }
+  for (const uint32_t earlier : exclusions) {
+    if (candidates.empty()) break;
+    if (const uint64_t* row = graph.HubRow(matched[earlier])) {
+      candidates = FilterByHub(candidates, row, /*keep_neighbors=*/false, cur);
+    }
+  }
+
+  const Label wanted = pattern_.VertexLabel(plan_order_[step]);
+  adjacency::EnsureHeadroom(out, candidates.size());
+  for (const VertexId u : candidates) {
+    if (graph.VertexLabel(u) != wanted || subgraph.ContainsVertex(u)) continue;
+    bool labels_match = true;
+    if (!uniform_label) {
+      for (const RequiredNeighbor& req : required) {
+        const auto edge = graph.EdgeBetween(matched[req.step], u);
+        FRACTAL_DCHECK(edge.has_value());
+        if (graph.GetEdgeLabel(*edge) != req.edge_label) {
+          labels_match = false;
+          break;
         }
       }
     }
-    if (!ok) continue;
-    for (const SymmetryCondition& condition : plan_conditions_) {
-      if (condition.larger == step && condition.smaller < step &&
-          u <= matched[condition.smaller]) {
-        ok = false;
-        break;
-      }
-      if (condition.smaller == step && condition.larger < step &&
-          u >= matched[condition.larger]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out->push_back(u);
+    if (labels_match) out->push_back(u);
   }
 }
 

@@ -115,6 +115,7 @@ class PatternInducedStrategy : public ExtensionStrategy {
   uint32_t MaxDepth() const override { return pattern_.NumVertices(); }
 
   const Pattern& pattern() const { return pattern_; }
+  MatchSemantics semantics() const { return semantics_; }
 
   /// Matching order: plan_order_[k] = original pattern position matched at
   /// step k. Exposed for tests.
@@ -137,6 +138,10 @@ class PatternInducedStrategy : public ExtensionStrategy {
     Label edge_label;
   };
   std::vector<std::vector<RequiredNeighbor>> required_neighbors_;
+  // For each step k >= 1 under induced semantics (empty otherwise): the
+  // plan steps j < k the pattern leaves unlinked to k, whose neighbors the
+  // vertex matched at k must avoid.
+  std::vector<std::vector<uint32_t>> induced_exclusions_;
   Label FirstLabel() const { return pattern_.VertexLabel(plan_order_[0]); }
 };
 

@@ -171,6 +171,13 @@ Graph GraphBuilder::Build() && {
     }
   }
 
+  const std::vector<Label>& edge_labels = graph.edge_labels_;
+  if (!edge_labels.empty() &&
+      std::all_of(edge_labels.begin(), edge_labels.end(),
+                  [&](Label label) { return label == edge_labels[0]; })) {
+    graph.uniform_edge_label_ = edge_labels[0];
+  }
+
   // Count distinct labels across vertices and edges.
   std::unordered_set<Label> labels(graph.vertex_labels_.begin(),
                                    graph.vertex_labels_.end());

@@ -136,6 +136,14 @@ class Graph {
     return edge_labels_[e];
   }
 
+  /// The label every edge carries, or nullopt when the graph has no edges
+  /// or more than one edge label. Recorded at Build() time, so a matcher can
+  /// settle edge-label constraints once per call on the (common) graphs
+  /// with a single edge label instead of once per candidate.
+  FRACTAL_HOT std::optional<Label> UniformEdgeLabel() const {
+    return uniform_edge_label_;
+  }
+
   /// Whether keyword sets were attached (Wikidata-style attributed graph).
   bool HasKeywords() const { return has_keywords_; }
 
@@ -174,6 +182,7 @@ class Graph {
   std::vector<Label> vertex_labels_;       // size |V|
   std::vector<Label> edge_labels_;         // size |E|
   std::vector<uint8_t> vertex_active_;     // empty == all active
+  std::optional<Label> uniform_edge_label_;
   uint32_t num_labels_ = 0;
   uint32_t num_active_vertices_ = 0;
 

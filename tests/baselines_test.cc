@@ -3,6 +3,7 @@
 #include "apps/cliques.h"
 #include "apps/fsm.h"
 #include "apps/motifs.h"
+#include "apps/queries.h"
 #include "baselines/bfs_engine.h"
 #include "baselines/join_matcher.h"
 #include "baselines/scalemine_like.h"
@@ -177,11 +178,28 @@ TEST(SingleThreadTest, MotifCountsMatchBruteForce) {
 }
 
 TEST(SingleThreadTest, QueryCounterMatchesBruteForce) {
-  const Graph g = GenerateRandomGraph(12, 30, 1, 1, 149);
-  Pattern diamond = Pattern::CyclePattern(4);
-  diamond.AddEdge(0, 2);
-  EXPECT_EQ(baselines::TunedQueryCount(g, diamond),
-            brute::CountPatternMatches(g, diamond));
+  // SEED q1..q8 as given (all labels 0) and relabelled (vertex label =
+  // position % 2, edge label = (src + dst) % 2), on a graph with two
+  // vertex and two edge labels.
+  const Graph g = GenerateRandomGraph(18, 140, 2, 2, 149);
+  uint64_t total = 0;
+  for (uint32_t q = 1; q <= kNumSeedQueries; ++q) {
+    const Pattern plain = SeedQuery(q);
+    Pattern labelled;
+    for (uint32_t p = 0; p < plain.NumVertices(); ++p) {
+      labelled.AddVertex(p % 2);
+    }
+    for (const PatternEdge& e : plain.Edges()) {
+      labelled.AddEdge(e.src, e.dst, (e.src + e.dst) % 2);
+    }
+    for (const Pattern& query : {plain, labelled}) {
+      const uint64_t expected = brute::CountPatternMatches(g, query);
+      EXPECT_EQ(baselines::TunedQueryCount(g, query), expected)
+          << SeedQueryName(q) << " " << query.ToString();
+      total += expected;
+    }
+  }
+  EXPECT_GT(total, 0u) << "the graph must hold some matches";
 }
 
 TEST(SingleThreadTest, FsmMatchesBruteForce) {

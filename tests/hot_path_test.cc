@@ -1,8 +1,8 @@
 // End-to-end check of the hot-path allocation discipline (DESIGN.md §9):
 // after the per-step warm-up, full-cluster runs of the vertex-induced,
-// edge-induced, and KClist strategies, and of motif counting's pattern
-// aggregation, perform ZERO heap allocations in their steady-state DFS
-// regions. FractoidStepTask arms an AllocGuard around each
+// edge-induced, KClist and pattern-induced strategies, and of motif
+// counting's pattern aggregation, perform ZERO heap allocations in their
+// steady-state DFS regions. FractoidStepTask arms an AllocGuard around each
 // extension once a thread has consumed AllocGuard::warmup_units() work units
 // in the step; these tests crank the global mode to kCount (assert the
 // observed total is zero) and kAbort (completing at all is the assertion),
@@ -16,6 +16,7 @@
 
 #include "apps/cliques.h"
 #include "apps/motifs.h"
+#include "apps/queries.h"
 #include "core/context.h"
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
@@ -173,6 +174,63 @@ TEST_F(HotPathTest, MotifAggregationCompletesUnderAbortMode) {
   const MotifsResult aborted_mode = RunMotifs(g, SmallCluster());
   AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
   EXPECT_EQ(aborted_mode.counts, expected.counts);
+}
+
+// SEED q2 (square) and q6 (house) through PFractoid: the pattern-induced
+// strategy's kernel passes over scratch leases. Two edge labels keep the
+// per-survivor edge-label check on the path too.
+struct QueryCounts {
+  uint64_t q2 = 0;
+  uint64_t q6 = 0;
+
+  bool operator==(const QueryCounts&) const = default;
+};
+
+QueryCounts RunQueries(const Graph& g, const ExecutionConfig& config) {
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  return {CountQueryMatches(graph, SeedQuery(2), config),
+          CountQueryMatches(graph, SeedQuery(6), config)};
+}
+
+Graph LabeledQueryGraph() {
+  return GenerateRandomGraph(/*num_vertices=*/300, /*num_edges=*/4000,
+                             /*num_vertex_labels=*/1, /*num_edge_labels=*/2,
+                             /*seed=*/23);
+}
+
+TEST_F(HotPathTest, PatternQueriesAreAllocationFreeUnderCountMode) {
+  const Graph g = LabeledQueryGraph();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const QueryCounts expected = RunQueries(g, SmallCluster());
+  ASSERT_GT(expected.q2, 0u);
+  ASSERT_GT(expected.q6, 0u);
+
+  const uint64_t work_before = obs::WorkUnitsCounter().Value();
+  const uint64_t guarded_before = AllocGuard::TotalGuardedAllocations();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kCount);
+  const QueryCounts counted = RunQueries(g, SmallCluster());
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const uint64_t guarded = AllocGuard::TotalGuardedAllocations() -
+                           guarded_before;
+  const uint64_t work = obs::WorkUnitsCounter().Value() - work_before;
+
+  EXPECT_EQ(counted, expected);
+  // Two queries on 4 threads, each thread well past warm-up.
+  ASSERT_GT(work, 2 * 4 * 4 * AllocGuard::warmup_units());
+  EXPECT_EQ(guarded, 0u)
+      << "steady-state heap allocations on the pattern-query path";
+}
+
+TEST_F(HotPathTest, PatternQueriesCompleteUnderAbortMode) {
+  const Graph g = LabeledQueryGraph();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const QueryCounts expected = RunQueries(g, SmallCluster());
+
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kAbort);
+  const QueryCounts aborted_mode = RunQueries(g, SmallCluster());
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  EXPECT_EQ(aborted_mode, expected);
 }
 
 TEST_F(HotPathTest, ScratchMissesDependOnShapeNotWorkVolume) {

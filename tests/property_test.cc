@@ -281,12 +281,13 @@ void DifferentialSweep(const Graph& g, const ExtensionStrategy& kernel,
 /// Random graph with a guaranteed hub: vertex 0 is connected to everything,
 /// so its degree crosses the adjacency-bitmap threshold (max(64, |V|/64))
 /// and the kernel strategies exercise the bitmap filtering paths.
-Graph RandomGraphWithHub(uint32_t extra_edges, uint64_t seed) {
+Graph RandomGraphWithHub(uint32_t extra_edges, uint64_t seed,
+                         uint32_t num_vertex_labels = 3) {
   constexpr uint32_t kVertices = 80;
   GraphBuilder builder;
   SplitMix64 rng(seed);
   for (uint32_t v = 0; v < kVertices; ++v) {
-    builder.AddVertex(static_cast<Label>(rng.NextBounded(3)));
+    builder.AddVertex(static_cast<Label>(rng.NextBounded(num_vertex_labels)));
   }
   for (uint32_t v = 1; v < kVertices; ++v) builder.AddEdge(0, v);
   uint32_t added = 0;
@@ -336,6 +337,160 @@ TEST_P(SeededProperty, KernelExtensionsMatchReferenceUnderReduction) {
                     ReferenceVertexInducedStrategy{}, 3);
   DifferentialSweep(reduced, EdgeInducedStrategy{},
                     ReferenceEdgeInducedStrategy{}, 3);
+}
+
+// The pre-kernel pattern-induced scan, rebuilt from a strategy's public
+// plan (pattern, matching order, symmetry conditions, semantics): walk the
+// smallest-degree required neighbor's list and test every candidate one by
+// one. The differential oracle for PatternInducedStrategy's set algebra.
+class ScanPatternInducedStrategy : public ExtensionStrategy {
+ public:
+  explicit ScanPatternInducedStrategy(const PatternInducedStrategy& plan)
+      : plan_(plan) {}
+
+  void ComputeExtensions(const Graph& graph, const Subgraph& subgraph,
+                         ExtensionContext& ctx,
+                         std::vector<uint32_t>* out) const override {
+    out->clear();
+    const Pattern& pattern = plan_.pattern();
+    const std::vector<uint32_t>& order = plan_.plan_order();
+    const uint32_t step = subgraph.NumVertices();
+    if (step >= pattern.NumVertices()) return;
+    const Label wanted = pattern.VertexLabel(order[step]);
+    if (step == 0) {
+      for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+        ++ctx.extension_tests;
+        if (graph.IsVertexActive(v) && graph.VertexLabel(v) == wanted) {
+          out->push_back(v);
+        }
+      }
+      return;
+    }
+    const auto matched = subgraph.Vertices();
+    std::vector<uint32_t> required;  // earlier steps linked to this one
+    for (uint32_t earlier = 0; earlier < step; ++earlier) {
+      if (pattern.IsAdjacent(order[step], order[earlier])) {
+        required.push_back(earlier);
+      }
+    }
+    uint32_t pivot = required[0];
+    for (const uint32_t r : required) {
+      if (graph.Degree(matched[r]) < graph.Degree(matched[pivot])) pivot = r;
+    }
+    for (const VertexId u : graph.Neighbors(matched[pivot])) {
+      ++ctx.extension_tests;
+      if (graph.VertexLabel(u) != wanted || subgraph.ContainsVertex(u)) {
+        continue;
+      }
+      bool ok = true;
+      for (const uint32_t r : required) {
+        const auto edge = graph.EdgeBetween(matched[r], u);
+        ok = ok && edge.has_value() &&
+             graph.GetEdgeLabel(*edge) ==
+                 pattern.EdgeLabelBetween(order[step], order[r]);
+      }
+      if (plan_.semantics() == MatchSemantics::kInduced) {
+        for (uint32_t earlier = 0; earlier < step; ++earlier) {
+          ok = ok && (pattern.IsAdjacent(order[step], order[earlier]) ||
+                      !graph.IsAdjacent(matched[earlier], u));
+        }
+      }
+      for (const SymmetryCondition& condition : plan_.plan_conditions()) {
+        if (condition.larger == step && condition.smaller < step) {
+          ok = ok && u > matched[condition.smaller];
+        }
+        if (condition.smaller == step && condition.larger < step) {
+          ok = ok && u < matched[condition.larger];
+        }
+      }
+      if (ok) out->push_back(u);
+    }
+  }
+
+  void Apply(const Graph& graph, uint32_t extension,
+             Subgraph* subgraph) const override {
+    plan_.Apply(graph, extension, subgraph);
+  }
+
+ private:
+  const PatternInducedStrategy& plan_;
+};
+
+/// A 6-vertex pattern whose matching order reaches position 3 after its
+/// orbit partner 0 (plan steps 5 and 0), so a symmetry condition bounds a
+/// candidate from above. None of q1..q8 has such a condition.
+Pattern UpperBoundedPattern() {
+  Pattern p;
+  for (int i = 0; i < 6; ++i) p.AddVertex(0);
+  for (const auto& [u, v] : {std::pair{0, 2}, {0, 3}, {0, 5}, {1, 4}, {1, 5},
+                             {2, 4}}) {
+    p.AddEdge(u, v);
+  }
+  return p;
+}
+
+/// Sweeps SEED q1..q8, an edge-labelled diamond and UpperBoundedPattern,
+/// under both match semantics, to the full pattern depth.
+void PatternSweep(const Graph& g) {
+  std::vector<Pattern> patterns;
+  for (uint32_t q = 1; q <= kNumSeedQueries; ++q) {
+    patterns.push_back(SeedQuery(q));
+  }
+  patterns.push_back(UpperBoundedPattern());
+  Pattern labelled;
+  for (int i = 0; i < 4; ++i) labelled.AddVertex(0);
+  labelled.AddEdge(0, 1, 0);
+  labelled.AddEdge(1, 2, 1);
+  labelled.AddEdge(2, 3, 0);
+  labelled.AddEdge(3, 0, 1);
+  labelled.AddEdge(0, 2, 1);
+  patterns.push_back(labelled);
+  for (const Pattern& pattern : patterns) {
+    for (const MatchSemantics semantics :
+         {MatchSemantics::kSubgraph, MatchSemantics::kInduced}) {
+      SCOPED_TRACE(pattern.ToString() +
+                   (semantics == MatchSemantics::kInduced ? " induced"
+                                                          : " subgraph"));
+      const PatternInducedStrategy kernel(pattern, semantics);
+      DifferentialSweep(g, kernel, ScanPatternInducedStrategy(kernel),
+                        pattern.NumVertices());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(PatternSweepTest, UpperBoundedPatternHasAnUpperBound) {
+  const PatternInducedStrategy strategy(UpperBoundedPattern());
+  const auto& conditions = strategy.plan_conditions();
+  EXPECT_TRUE(std::any_of(conditions.begin(), conditions.end(),
+                          [](const SymmetryCondition& condition) {
+                            return condition.smaller > condition.larger;
+                          }));
+}
+
+TEST_P(SeededProperty, KernelPatternExtensionsMatchScan) {
+  // Two edge labels: the per-survivor edge-label check runs.
+  const Graph labelled = GenerateRandomGraph(22, 150, 1, 2, GetParam());
+  ASSERT_FALSE(labelled.UniformEdgeLabel().has_value());
+  PatternSweep(labelled);
+  // One edge label: required labels are settled once per call.
+  const Graph uniform = GenerateRandomGraph(22, 110, 1, 1, GetParam());
+  ASSERT_TRUE(uniform.UniformEdgeLabel().has_value());
+  PatternSweep(uniform);
+}
+
+TEST_P(SeededProperty, KernelPatternExtensionsMatchScanWithHub) {
+  const Graph g = RandomGraphWithHub(400, GetParam(), 1);
+  ASSERT_GT(g.NumHubs(), 0u) << "test graph must exercise the hub bitmaps";
+  PatternSweep(g);
+}
+
+TEST_P(SeededProperty, KernelPatternExtensionsMatchScanUnderReduction) {
+  const Graph g = GenerateRandomGraph(26, 220, 1, 2, GetParam());
+  const Graph reduced = ReduceGraph(
+      g, [](const Graph&, VertexId v) { return v % 3 != 0; }, nullptr);
+  ASSERT_LT(reduced.NumActiveVertices(), reduced.NumVertices());
+  PatternSweep(reduced);
 }
 
 TEST(ExploreTest, ExploreZeroIsIdentity) {

@@ -293,7 +293,10 @@ TEST(RecoveryTest, DegradedReexecutionRunsOnSurvivors) {
   ClusterOptions options;
   options.num_workers = 3;
   options.threads_per_worker = 2;
-  options.external_work_stealing = true;
+  // No external stealing: worker 2 must run its whole root partition (35
+  // units on this graph), so the crash below fires however the threads are
+  // scheduled. With stealing on, its peers could drain it first.
+  options.external_work_stealing = false;
   options.network.latency_micros = 1;
   Cluster cluster(options);
 
@@ -365,7 +368,11 @@ void ExpectSameMotifs(const MotifsResult& actual,
 TEST(SalvageTest, HalfwayCrashReplaysLessThanFromScratch) {
   FractalContext fctx;
   FractalGraph graph = TestGraph(fctx);
-  const ExecutionConfig healthy = TwoWorkers();
+  // No external stealing in any run: worker 1 then runs exactly its own
+  // root partition, so the crash point below (half its fault-free units)
+  // is reached however the threads are scheduled.
+  ExecutionConfig healthy = TwoWorkers();
+  healthy.external_work_stealing = false;
   const MotifsResult clean = CountMotifs(graph, 3, healthy);
   ASSERT_TRUE(clean.execution.status.ok()) << clean.execution.status;
   ASSERT_EQ(clean.execution.telemetry.steps.size(), 1u);
@@ -379,7 +386,7 @@ TEST(SalvageTest, HalfwayCrashReplaysLessThanFromScratch) {
 
   // From-scratch recovery: the successful attempt re-enumerates the whole
   // step on the survivor.
-  ExecutionConfig scratch = TwoWorkers();
+  ExecutionConfig scratch = healthy;
   scratch.fault_plan = FaultPlan().CrashWorker(1, crash_after);
   const MotifsResult scratch_run = CountMotifs(graph, 3, scratch);
   ASSERT_TRUE(scratch_run.execution.status.ok())
@@ -394,7 +401,7 @@ TEST(SalvageTest, HalfwayCrashReplaysLessThanFromScratch) {
 
   // Salvage recovery: same crash, but only the tasks worker 1 left
   // unfinished are re-enumerated on the survivor.
-  ExecutionConfig salvage = TwoWorkers();
+  ExecutionConfig salvage = healthy;
   salvage.fault_plan = FaultPlan().CrashWorker(1, crash_after);
   salvage.retry.mode = RetryPolicy::Mode::kSalvage;
   const MotifsResult salvaged = CountMotifs(graph, 3, salvage);
