@@ -4,10 +4,10 @@
 // dispatch on an ephemeral vs. persistent cluster.
 #include <benchmark/benchmark.h>
 
+#include "apps/queries.h"
 #include "core/context.h"
 #include "enumerate/enumerator.h"
 #include "enumerate/extension.h"
-#include "enumerate/reference_extension.h"
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
 #include "pattern/canonical.h"
@@ -39,7 +39,7 @@ void BM_VertexExtensions(benchmark::State& state) {
   subgraph.PushVertexInduced(graph, *graph.Neighbors(10).begin());
   std::vector<uint32_t> out;
   for (auto _ : state) {
-    strategy.ComputeExtensions(graph, subgraph, ctx, &out);
+    strategy.ComputeExtensions(graph, subgraph, ctx, &out, /*rows=*/nullptr);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * ctx.extension_tests /
@@ -55,7 +55,7 @@ void BM_EdgeExtensions(benchmark::State& state) {
   subgraph.PushEdgeInduced(graph, 0);
   std::vector<uint32_t> out;
   for (auto _ : state) {
-    strategy.ComputeExtensions(graph, subgraph, ctx, &out);
+    strategy.ComputeExtensions(graph, subgraph, ctx, &out, /*rows=*/nullptr);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -69,17 +69,18 @@ void BM_KClistExtensions(benchmark::State& state) {
   subgraph.PushVertexInduced(graph, 3);
   std::vector<uint32_t> out;
   for (auto _ : state) {
-    strategy.ComputeExtensions(graph, subgraph, ctx, &out);
+    strategy.ComputeExtensions(graph, subgraph, ctx, &out, /*rows=*/nullptr);
     benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_KClistExtensions);
 
-// --- Extension data plane A/B: set-algebra kernels vs. reference scans ---
-// Dense Erdős–Rényi graph (400 vertices, 24k edges, ~30% density) where the
-// old quadratic candidate×word scans hurt most. The ci.sh perf-smoke stage
-// runs exactly these pairs (--benchmark_filter='Extensions(Kernel|Reference)')
-// and records the results in BENCH_extension.json.
+// --- Extension data plane on a dense graph --------------------------------
+// Dense Erdős–Rényi graph (400 vertices, 24k edges, ~30% density). The
+// *ExtensionsKernel series time candidate computation alone; the
+// *ExtendApply series below add the push of every candidate. The ci.sh
+// perf-smoke stage runs both (--benchmark_filter='ExtensionsKernel|
+// ExtendApply') and gates them against bench/baselines/BENCH_extension.json.
 
 const Graph& DenseBenchGraph() {
   static const Graph* graph = [] {
@@ -107,34 +108,27 @@ Subgraph DenseVertexPrefix(const Graph& graph) {
   return subgraph;
 }
 
-template <typename Strategy>
-void RunVertexExtensionBench(benchmark::State& state) {
+/// ComputeExtensions alone, candidates only, on one fixed prefix.
+void RunExtensionBench(benchmark::State& state,
+                       const ExtensionStrategy& strategy,
+                       const Subgraph& subgraph) {
   const Graph& graph = DenseBenchGraph();
-  Strategy strategy;
   ExtensionContext ctx;
-  Subgraph subgraph = DenseVertexPrefix(graph);
   std::vector<uint32_t> out;
   for (auto _ : state) {
-    strategy.ComputeExtensions(graph, subgraph, ctx, &out);
+    strategy.ComputeExtensions(graph, subgraph, ctx, &out, /*rows=*/nullptr);
     benchmark::DoNotOptimize(out.data());
   }
 }
 
 void BM_VertexExtensionsKernel(benchmark::State& state) {
-  RunVertexExtensionBench<VertexInducedStrategy>(state);
+  RunExtensionBench(state, VertexInducedStrategy{},
+                    DenseVertexPrefix(DenseBenchGraph()));
 }
 BENCHMARK(BM_VertexExtensionsKernel);
 
-void BM_VertexExtensionsReference(benchmark::State& state) {
-  RunVertexExtensionBench<ReferenceVertexInducedStrategy>(state);
-}
-BENCHMARK(BM_VertexExtensionsReference);
-
-template <typename Strategy>
-void RunEdgeExtensionBench(benchmark::State& state) {
+void BM_EdgeExtensionsKernel(benchmark::State& state) {
   const Graph& graph = DenseBenchGraph();
-  Strategy strategy;
-  ExtensionContext ctx;
   Subgraph subgraph;
   subgraph.PushEdgeInduced(graph, 0);
   const EdgeEndpoints& base = graph.Endpoints(0);
@@ -144,45 +138,86 @@ void RunEdgeExtensionBench(benchmark::State& state) {
       break;
     }
   }
-  std::vector<uint32_t> out;
-  for (auto _ : state) {
-    strategy.ComputeExtensions(graph, subgraph, ctx, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-
-void BM_EdgeExtensionsKernel(benchmark::State& state) {
-  RunEdgeExtensionBench<EdgeInducedStrategy>(state);
+  RunExtensionBench(state, EdgeInducedStrategy{}, subgraph);
 }
 BENCHMARK(BM_EdgeExtensionsKernel);
 
-void BM_EdgeExtensionsReference(benchmark::State& state) {
-  RunEdgeExtensionBench<ReferenceEdgeInducedStrategy>(state);
-}
-BENCHMARK(BM_EdgeExtensionsReference);
-
-template <typename Strategy>
-void RunKClistExtensionBench(benchmark::State& state) {
-  const Graph& graph = DenseBenchGraph();
-  Strategy strategy;
-  ExtensionContext ctx;
-  Subgraph subgraph = DenseVertexPrefix(graph);
-  std::vector<uint32_t> out;
-  for (auto _ : state) {
-    strategy.ComputeExtensions(graph, subgraph, ctx, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-
 void BM_KClistExtensionsKernel(benchmark::State& state) {
-  RunKClistExtensionBench<KClistStrategy>(state);
+  RunExtensionBench(state, KClistStrategy{},
+                    DenseVertexPrefix(DenseBenchGraph()));
 }
 BENCHMARK(BM_KClistExtensionsKernel);
 
-void BM_KClistExtensionsReference(benchmark::State& state) {
-  RunKClistExtensionBench<ReferenceKClistStrategy>(state);
+/// The first `count` depth-`depth` subgraphs the strategy's own DFS reaches
+/// on `graph`, in DFS order.
+std::vector<Subgraph> Prefixes(const ExtensionStrategy& strategy,
+                               const Graph& graph, uint32_t depth,
+                               size_t count) {
+  std::vector<Subgraph> prefixes;
+  ExtensionContext ctx;
+  Subgraph subgraph;
+  auto walk = [&](auto&& self) -> void {
+    if (subgraph.NumVertices() == depth) {
+      prefixes.push_back(subgraph);
+      return;
+    }
+    std::vector<uint32_t> out;
+    strategy.ComputeExtensions(graph, subgraph, ctx, &out, /*rows=*/nullptr);
+    for (const uint32_t extension : out) {
+      if (prefixes.size() == count) return;
+      strategy.ApplyBySearch(graph, extension, &subgraph, ctx.arena);
+      self(self);
+      strategy.Undo(graph, &subgraph);
+    }
+  };
+  walk(walk);
+  return prefixes;
 }
-BENCHMARK(BM_KClistExtensionsReference);
+
+/// One iteration: for each of 16 depth-2 prefixes of the dense graph,
+/// ComputeExtensions with edge rows, then Apply/Undo of every candidate —
+/// the DFS's per-node work, push included. Items are pushes.
+void RunExtendApplyBench(benchmark::State& state,
+                         const ExtensionStrategy& strategy) {
+  const Graph& graph = DenseBenchGraph();
+  std::vector<Subgraph> prefixes = Prefixes(strategy, graph, 2, 16);
+  FRACTAL_CHECK(prefixes.size() == 16);
+  ExtensionContext ctx;
+  std::vector<uint32_t> out;
+  std::vector<EdgeId> rows;
+  uint64_t pushes = 0;
+  for (auto _ : state) {
+    for (Subgraph& prefix : prefixes) {
+      strategy.ComputeExtensions(graph, prefix, ctx, &out, &rows);
+      const size_t width = out.empty() ? 0 : rows.size() / out.size();
+      for (size_t i = 0; i < out.size(); ++i) {
+        strategy.Apply(graph, out[i],
+                       std::span<const EdgeId>(rows.data() + i * width, width),
+                       &prefix);
+        benchmark::DoNotOptimize(prefix.NumEdges());
+        strategy.Undo(graph, &prefix);
+      }
+      pushes += out.size();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(pushes));
+}
+
+void BM_VertexExtendApply(benchmark::State& state) {
+  RunExtendApplyBench(state, VertexInducedStrategy{});
+}
+BENCHMARK(BM_VertexExtendApply);
+
+void BM_KClistExtendApply(benchmark::State& state) {
+  RunExtendApplyBench(state, KClistStrategy{});
+}
+BENCHMARK(BM_KClistExtendApply);
+
+void BM_PatternQ2ExtendApply(benchmark::State& state) {
+  RunExtendApplyBench(state, PatternInducedStrategy(SeedQuery(2)));
+}
+BENCHMARK(BM_PatternQ2ExtendApply);
+
 
 void BM_CanonicalFormUncached(benchmark::State& state) {
   const Pattern pattern = [] {

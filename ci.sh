@@ -10,9 +10,10 @@
 #      CLI run whose Prometheus /metricsz dump is format-checked by
 #      tools/check_metricsz.py and whose sampling-profiler collapsed-stack
 #      export must be non-empty. Finally a perf smoke runs the
-#      extension-kernel A/B microbenchmarks (kernels vs. reference scans)
-#      into BENCH_extension.json and gates it against the committed
-#      baseline with tools/bench_compare.py.
+#      extension microbenchmarks (the kernels alone, and ComputeExtensions +
+#      Apply/Undo of every candidate for the vertex-induced, KClist and
+#      pattern-induced strategies) into BENCH_extension.json and gates it
+#      against the committed baseline with tools/bench_compare.py.
 #      An e2e smoke then runs the five bench/e2e workloads (triangles,
 #      motifs, FSM, concurrent pattern queries, keyword search) on small
 #      query pools, checking every answer against its oracle and the exact
@@ -117,13 +118,16 @@ else
   echo "python3 not installed; structural metricsz validation skipped"
 fi
 
-echo "=== perf smoke: extension kernels vs. reference scans ==="
-# A/B microbenchmark of the set-algebra extension kernels against the
-# pre-refactor reference scans (bench/bench_micro.cc, dense-graph pairs).
-# Results land in BENCH_extension.json for the CI artifact trail; the
-# differential property tests gate correctness, this stage tracks speed.
+echo "=== perf smoke: extension kernels and pushes ==="
+# Dense-graph microbenchmarks (bench/bench_micro.cc): the set-algebra
+# extension kernels alone (*ExtensionsKernel), and ComputeExtensions plus
+# the edge-row push and undo of every candidate over a prefix set
+# (*ExtendApply) — the push is where a per-candidate adjacency search
+# would show. Results land in BENCH_extension.json for the CI artifact
+# trail; the differential property tests gate correctness, this stage
+# tracks speed.
 ./build-ci/bench/bench_micro \
-  --benchmark_filter='Extensions(Kernel|Reference)' \
+  --benchmark_filter='ExtensionsKernel|ExtendApply' \
   --benchmark_out=BENCH_extension.json --benchmark_out_format=json
 test -s BENCH_extension.json
 # Gate against the committed baseline: >20% real_time regression on any

@@ -18,7 +18,7 @@ Fractoid CliquesFractoid(const FractalGraph& graph, uint32_t k) {
 
 Fractoid OptimizedCliquesFractoid(const FractalGraph& graph, uint32_t k) {
   FRACTAL_CHECK(k >= 1);
-  return graph.CustomFractoid(MakeKClistStrategy()).Expand(k);
+  return graph.CustomFractoid(std::make_shared<KClistStrategy>()).Expand(k);
 }
 
 uint64_t CountCliques(const FractalGraph& graph, uint32_t k,

@@ -68,7 +68,7 @@ BfsResult BfsEngine::Motifs(uint32_t k) {
     next.width = depth + 1;
     for (size_t row = 0; row < current.NumRows(); ++row) {
       Subgraph subgraph = RebuildVertexWord(graph_, current.Row(row));
-      strategy.ComputeExtensions(graph_, subgraph, ctx, &extensions);
+      strategy.ComputeExtensions(graph_, subgraph, ctx, &extensions, nullptr);
       for (const uint32_t extension : extensions) {
         next.Append(current.Row(row), extension);
       }
@@ -117,7 +117,7 @@ BfsResult BfsEngine::Cliques(uint32_t k) {
     next.width = depth + 1;
     for (size_t row = 0; row < current.NumRows(); ++row) {
       Subgraph subgraph = RebuildVertexWord(graph_, current.Row(row));
-      strategy.ComputeExtensions(graph_, subgraph, ctx, &extensions);
+      strategy.ComputeExtensions(graph_, subgraph, ctx, &extensions, nullptr);
       for (const uint32_t extension : extensions) {
         subgraph.PushVertexInduced(graph_, extension);
         const bool clique =
@@ -164,7 +164,7 @@ BfsResult BfsEngine::Query(const Pattern& query) {
     next.width = depth + 1;
     for (size_t row = 0; row < current.NumRows(); ++row) {
       Subgraph subgraph = RebuildEdgeWord(graph_, current.Row(row));
-      strategy.ComputeExtensions(graph_, subgraph, ctx, &extensions);
+      strategy.ComputeExtensions(graph_, subgraph, ctx, &extensions, nullptr);
       for (const uint32_t extension : extensions) {
         // Cheap structural pruning only (Arabesque-style): vertex budget.
         subgraph.PushEdgeInduced(graph_, extension);
@@ -247,7 +247,7 @@ BfsResult BfsEngine::Fsm(uint32_t min_support, uint32_t max_edges) {
       const CanonicalResult& canonical =
           cache.Canonicalize(subgraph.QuickPattern(graph_));
       if (!frequent.count(canonical.pattern)) continue;
-      strategy.ComputeExtensions(graph_, subgraph, ctx, &extensions);
+      strategy.ComputeExtensions(graph_, subgraph, ctx, &extensions, nullptr);
       for (const uint32_t extension : extensions) {
         next.Append(current.Row(row), extension);
       }

@@ -67,7 +67,7 @@ ScaleMineResult RunScaleMineFsm(const Graph& graph, uint32_t min_support,
       const uint32_t length = 1 + rng.NextBounded(max_edges);
       bool alive = true;
       for (uint32_t step = 0; step < length && alive; ++step) {
-        strategy.ComputeExtensions(graph, subgraph, ctx, &extensions);
+        strategy.ComputeExtensions(graph, subgraph, ctx, &extensions, nullptr);
         if (extensions.empty()) {
           alive = false;
           break;
@@ -107,7 +107,7 @@ ScaleMineResult RunScaleMineFsm(const Graph& graph, uint32_t min_support,
         }
       }
       std::vector<uint32_t> extensions;
-      strategy.ComputeExtensions(graph, subgraph, ctx, &extensions);
+      strategy.ComputeExtensions(graph, subgraph, ctx, &extensions, nullptr);
       for (const uint32_t extension : extensions) {
         subgraph.PushEdgeInduced(graph, extension);
         recurse(depth + 1);

@@ -140,7 +140,7 @@ std::unordered_map<Pattern, uint64_t, PatternHash> TunedMotifCounts(
       return;
     }
     auto& extensions = scratch[depth];
-    strategy.ComputeExtensions(graph, subgraph, ctx, &extensions);
+    strategy.ComputeExtensions(graph, subgraph, ctx, &extensions, nullptr);
     const std::vector<uint32_t> local = extensions;
     for (const uint32_t extension : local) {
       subgraph.PushVertexInduced(graph, extension);
@@ -313,7 +313,7 @@ std::unordered_map<Pattern, uint64_t, PatternHash> TunedFsm(
         }
       }
       std::vector<uint32_t> extensions;
-      strategy.ComputeExtensions(graph, subgraph, ctx, &extensions);
+      strategy.ComputeExtensions(graph, subgraph, ctx, &extensions, nullptr);
       for (const uint32_t extension : extensions) {
         subgraph.PushEdgeInduced(graph, extension);
         recurse(depth + 1);

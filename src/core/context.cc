@@ -18,12 +18,11 @@ FractalGraph FractalContext::FromGraph(Graph graph) const {
 }
 
 Fractoid FractalGraph::VFractoid() const {
-  // Factory honors FRACTAL_REFERENCE_EXTENSIONS (A/B escape hatch).
-  return Fractoid(graph_, MakeVertexInducedStrategy());
+  return Fractoid(graph_, std::make_shared<VertexInducedStrategy>());
 }
 
 Fractoid FractalGraph::EFractoid() const {
-  return Fractoid(graph_, MakeEdgeInducedStrategy());
+  return Fractoid(graph_, std::make_shared<EdgeInducedStrategy>());
 }
 
 Fractoid FractalGraph::PFractoid(Pattern pattern) const {

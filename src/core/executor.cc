@@ -245,7 +245,8 @@ ExecutionResult ExecuteFractoidStreaming(const Fractoid& fractoid,
         // them across cores. The candidate tests performed here are part
         // of the EC metric and credited to core 0 below.
         ExtensionContext root_ctx;
-        strategy.ComputeExtensions(graph, Subgraph(), root_ctx, &roots);
+        strategy.ComputeExtensions(graph, Subgraph(), root_ctx, &roots,
+                                   /*rows=*/nullptr);
         root_extension_tests = root_ctx.extension_tests;
 
         if (salvage_mode) {

@@ -64,7 +64,8 @@ FRACTAL_HOT void FractoidStepTask::DrainRoots(ThreadContext& t,
     DrainRootsTracked(t, s, std::move(roots));
     return;
   }
-  t.frames[0]->Refill(s.subgraph, /*primitive_index=*/1, std::move(roots));
+  t.frames[0]->Refill(s.subgraph, /*primitive_index=*/1, std::move(roots),
+                      /*rows=*/{});
   DrainFrame(t, s, *t.frames[0]);
 }
 
@@ -76,12 +77,13 @@ FRACTAL_HOT void FractoidStepTask::DrainRootsTracked(
   // primitive index marks stolen entries as replay indices, not extensions.
   SubgraphEnumerator& frame = *t.frames[0];
   frame.Refill(s.subgraph, replay ? kReplayRootPrimitive : 1,
-               std::move(roots));
+               std::move(roots), /*rows=*/{});
   FaultInjector* const injector = t.control->injector;
-  while (const auto extension = frame.ConsumeNext()) {
-    const uint64_t task_id = lineage.RootTaskId(*extension);
+  while (const auto index = frame.ConsumeNext()) {
+    const uint32_t extension = frame.extension(*index);
+    const uint64_t task_id = lineage.RootTaskId(extension);
     if (replay) {
-      ProcessReplayRoot(t, s, *extension, task_id);
+      ProcessReplayRoot(t, s, extension, task_id);
     } else {
       const uint64_t units_before = t.stats.work_units;
       if (!t.ConsumeWorkUnit()) {
@@ -90,7 +92,7 @@ FRACTAL_HOT void FractoidStepTask::DrainRootsTracked(
       }
       {
         const AllocGuard guard(GuardModeFor(t));
-        strategy_.Apply(graph_, *extension, &s.subgraph);
+        strategy_.Apply(graph_, extension, frame.row(*index), &s.subgraph);
         Process(t, s, /*index=*/1);
         strategy_.Undo(graph_, &s.subgraph);
       }
@@ -115,7 +117,8 @@ FRACTAL_HOT void FractoidStepTask::ProcessReplayRoot(ThreadContext& t,
   {
     const AllocGuard guard(GuardModeFor(t));
     s.subgraph = work.prefix;
-    strategy_.Apply(graph_, work.extension, &s.subgraph);
+    strategy_.ApplyBySearch(graph_, work.extension, &s.subgraph,
+                            s.computation->scratch_arena());
     if (!t.ConsumeWorkUnit()) {
       s.subgraph.Clear();
       DiscardTaskScratch(s);
@@ -177,7 +180,8 @@ FRACTAL_HOT void FractoidStepTask::ProcessStolen(
     {
       const AllocGuard guard(GuardModeFor(t));
       s.subgraph = work.prefix;
-      strategy_.Apply(graph_, work.extension, &s.subgraph);
+      strategy_.ApplyBySearch(graph_, work.extension, &s.subgraph,
+                              s.computation->scratch_arena());
       if (!t.ConsumeWorkUnit()) {
         s.subgraph.Clear();
         DiscardTaskScratch(s);
@@ -196,7 +200,8 @@ FRACTAL_HOT void FractoidStepTask::ProcessStolen(
   }
   const AllocGuard guard(GuardModeFor(t));
   s.subgraph = work.prefix;
-  strategy_.Apply(graph_, work.extension, &s.subgraph);
+  strategy_.ApplyBySearch(graph_, work.extension, &s.subgraph,
+                          s.computation->scratch_arena());
   if (!t.ConsumeWorkUnit()) {
     // The worker crashed: drop the stolen unit — the whole step attempt is
     // discarded and re-executed anyway.
@@ -220,13 +225,14 @@ void FractoidStepTask::FinishThread(ThreadContext& t) {
 void FractoidStepTask::DrainFrame(ThreadContext& t, CoreState& s,
                                   SubgraphEnumerator& frame) {
   const uint32_t next_index = frame.primitive_index();
-  while (const auto extension = frame.ConsumeNext()) {
+  while (const auto index = frame.ConsumeNext()) {
+    const uint32_t extension = frame.extension(*index);
     // Salvage replay: subtrees that left the crashed worker through a
     // steal claim are re-enumerated from their own descriptors, so skip
     // them here (no work unit consumed — the subtree is not re-executed).
     // `s.subgraph` is exactly this frame's prefix pre-Apply.
     if (t.lineage != nullptr && t.lineage->has_exclusions() &&
-        t.lineage->Excluded(s.subgraph, *extension, next_index)) {
+        t.lineage->Excluded(s.subgraph, extension, next_index)) {
       continue;
     }
     if (!t.ConsumeWorkUnit()) break;
@@ -236,7 +242,7 @@ void FractoidStepTask::DrainFrame(ThreadContext& t, CoreState& s,
     // AllocGuard that counts (or aborts on) any heap allocation the static
     // lint failed to rule out.
     const AllocGuard guard(GuardModeFor(t));
-    strategy_.Apply(graph_, *extension, &s.subgraph);
+    strategy_.Apply(graph_, extension, frame.row(*index), &s.subgraph);
     Process(t, s, next_index);
     strategy_.Undo(graph_, &s.subgraph);
   }
@@ -283,18 +289,22 @@ void FractoidStepTask::Process(ThreadContext& t, CoreState& s,
       FRACTAL_TRACE_INSTANT("dfs/expand", depth);
       FRACTAL_DCHECK(depth < num_levels_);
       SubgraphEnumerator& frame = *t.frames[depth];
-      // Extensions are computed into an arena lease; Refill's swap then
-      // hands the frame's previous buffer back through the lease, so buffer
-      // capacity cycles through the pool instead of being reallocated.
+      // Extensions and their edge rows are computed into arena leases;
+      // Refill's swap then hands the frame's previous buffers back through
+      // the leases, so buffer capacity cycles through the pool instead of
+      // being reallocated.
       ScratchArena::BufferLease scratch(s.computation->scratch_arena());
+      ScratchArena::BufferLease rows(s.computation->scratch_arena());
       strategy_.ComputeExtensions(graph_, s.subgraph,
                                   s.computation->extension_context(),
-                                  scratch.get());
-      // Enumerator-state accounting (Table 2): the extension arrays plus
-      // the prefix are Fractal's entire per-level intermediate state.
+                                  scratch.get(), rows.get());
+      // Enumerator-state accounting (Table 2): the extension arrays, their
+      // edge rows and the prefix are Fractal's entire per-level
+      // intermediate state.
       s.state_bytes -= s.frame_bytes[depth];
       s.frame_bytes[depth] =
           scratch->size() * sizeof(uint32_t) +
+          rows->size() * sizeof(EdgeId) +
           s.subgraph.NumVertices() * sizeof(VertexId) +
           s.subgraph.NumEdges() * sizeof(EdgeId);
       s.state_bytes += s.frame_bytes[depth];
@@ -306,7 +316,8 @@ void FractoidStepTask::Process(ThreadContext& t, CoreState& s,
         obs::LocalHotMetrics().batch_sizes.Record(0);
         break;
       }
-      frame.Refill(s.subgraph, index + 1, std::move(*scratch.get()));
+      frame.Refill(s.subgraph, index + 1, std::move(*scratch.get()),
+                   std::move(*rows.get()));
       DrainFrame(t, s, frame);
       break;
     }

@@ -23,7 +23,7 @@ obs::Counter& EnumerateStealsCounter() {
 
 FRACTAL_HOT void SubgraphEnumerator::Refill(
     const Subgraph& prefix, uint32_t primitive_index,
-    std::vector<uint32_t>&& extensions) {
+    std::vector<uint32_t>&& extensions, std::vector<EdgeId>&& rows) {
   // The span opens before mu_ is taken (and ends after it is released): no
   // trace-buffer work under the enumerator steal lock.
   FRACTAL_TRACE_SPAN_V("enumerate/refill", extensions.size());
@@ -32,6 +32,12 @@ FRACTAL_HOT void SubgraphEnumerator::Refill(
   prefix_ = prefix;
   primitive_index_ = primitive_index;
   extensions_.swap(extensions);
+  rows_.swap(rows);
+  row_width_ = extensions_.empty()
+                   ? 0
+                   : static_cast<uint32_t>(rows_.size() / extensions_.size());
+  FRACTAL_DCHECK(rows_.size() ==
+                 static_cast<size_t>(row_width_) * extensions_.size());
   size_hint_.store(static_cast<uint32_t>(extensions_.size()),
                    std::memory_order_relaxed);
   cursor_.store(0, std::memory_order_relaxed);

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "enumerate/subgraph.h"
@@ -36,31 +37,49 @@ class SubgraphEnumerator {
   SubgraphEnumerator(const SubgraphEnumerator&) = delete;
   SubgraphEnumerator& operator=(const SubgraphEnumerator&) = delete;
 
-  /// Owner: installs a new prefix and extension set; resets the cursor and
-  /// activates the enumerator. `extensions` is consumed (swap), so its grown
-  /// storage keeps circulating between the enumerator and the DFS's arena
-  /// buffers. Hot-path root: once per DFS node.
+  /// Owner: installs a new prefix, extension set and the extensions' edge
+  /// rows (row-major, equal width, possibly empty — see ExtensionStrategy);
+  /// resets the cursor and activates the enumerator. `extensions` and
+  /// `rows` are consumed (swap), so their grown storage keeps circulating
+  /// between the enumerator and the DFS's arena buffers. Hot-path root:
+  /// once per DFS node.
   FRACTAL_HOT void Refill(const Subgraph& prefix, uint32_t primitive_index,
-                          std::vector<uint32_t>&& extensions) EXCLUDES(mu_);
+                          std::vector<uint32_t>&& extensions,
+                          std::vector<EdgeId>&& rows) EXCLUDES(mu_);
 
   /// Owner: marks the enumerator empty. Blocks until in-flight steals
   /// finish copying, after which the prefix may be invalidated.
   void Deactivate() EXCLUDES(mu_);
 
-  /// Owner: claims the next extension, or nullopt when exhausted.
-  /// Lock-free: reads `extensions_` without mu_, which is sound because
-  /// only the owner mutates storage (Refill/Deactivate) and the owner is
-  /// the sole caller of ConsumeNext — a contract the static analysis cannot
-  /// express, hence the opt-out annotation.
+  /// Owner: claims the next extension and returns its index (read it with
+  /// extension()/row()), or nullopt when exhausted. Lock-free: reads
+  /// `extensions_` without mu_, which is sound because only the owner
+  /// mutates storage (Refill/Deactivate) and the owner is the sole caller
+  /// of ConsumeNext and the accessors — a contract the static analysis
+  /// cannot express, hence the opt-out annotations.
   FRACTAL_HOT std::optional<uint32_t> ConsumeNext() NO_THREAD_SAFETY_ANALYSIS {
     if (!active_.load(std::memory_order_acquire)) return std::nullopt;
     const uint32_t index = cursor_.fetch_add(1, std::memory_order_relaxed);
     if (index >= extensions_.size()) return std::nullopt;
+    return index;
+  }
+
+  /// Owner: the extension claimed as `index` by ConsumeNext.
+  uint32_t extension(uint32_t index) const NO_THREAD_SAFETY_ANALYSIS {
     return extensions_[index];
+  }
+
+  /// Owner: the edge row of the extension claimed as `index`.
+  std::span<const EdgeId> row(uint32_t index) const
+      NO_THREAD_SAFETY_ANALYSIS {
+    return {rows_.data() + static_cast<size_t>(index) * row_width_,
+            row_width_};
   }
 
   /// One unit of stolen work: prefix + a single claimed extension, plus the
   /// primitive index at which processing of the extended subgraph resumes.
+  /// Edge rows stay behind: the thief rebuilds its one row by search
+  /// (ExtensionStrategy::ApplyBySearch), so the wire format is unchanged.
   /// When a step runs with a LineageLedger (salvage retry mode), the steal
   /// path stamps the claim and carries the ledger record id here so the
   /// thief can stamp completion; 0 otherwise (runtime/lineage.h).
@@ -101,8 +120,10 @@ class SubgraphEnumerator {
   // extensions_.size(), readable without the lock (hint only).
   std::atomic<uint32_t> size_hint_{0};
   uint32_t primitive_index_ GUARDED_BY(mu_) = 0;
-  // Recycled through Refill's swap with the DFS expansion buffer.
+  // Recycled through Refill's swap with the DFS expansion buffers.
   FRACTAL_ARENA_OUT std::vector<uint32_t> extensions_ GUARDED_BY(mu_);
+  FRACTAL_ARENA_OUT std::vector<EdgeId> rows_ GUARDED_BY(mu_);
+  uint32_t row_width_ GUARDED_BY(mu_) = 0;
   Subgraph prefix_ GUARDED_BY(mu_);
 };
 

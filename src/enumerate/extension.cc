@@ -1,20 +1,16 @@
 #include "enumerate/extension.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <span>
 
-#include "enumerate/reference_extension.h"
 #include "graph/adjacency.h"
 
 namespace fractal {
 namespace {
 
-/// Stack capacity for the pattern-required edges gathered by
-/// PatternInducedStrategy::Apply — bounds the per-step pattern degree, far
-/// above any pattern this system queries (checked at run time).
-constexpr uint32_t kMaxPatternApplyEdges = 64;
+static_assert(adjacency::kNotFound == kNoEdge,
+              "Locate's miss marker doubles as the edge-row sentinel");
 
 /// Drops every element of `v` whose bit is set in the hub bitmap `row`
 /// (in-place stable compaction): set difference against a high-degree
@@ -62,6 +58,50 @@ FRACTAL_HOT std::span<const uint32_t> FilterByHub(
   return *buffer;
 }
 
+/// Fills one column of a row-major edge-row table: column[i * stride] =
+/// the id of the edge (v, run[i]), or kNoEdge when there is none. The
+/// positions come from one Locate pass over v's sorted adjacency and index
+/// straight into its parallel incident-edge list.
+FRACTAL_HOT void FillRowColumn(const Graph& graph, VertexId v,
+                               std::span<const uint32_t> run, EdgeId* column,
+                               size_t stride) {
+  adjacency::Locate(run, graph.Neighbors(v), column, stride);
+  const auto incident = graph.IncidentEdges(v);
+  for (size_t i = 0; i < run.size(); ++i) {
+    EdgeId& slot = column[i * stride];
+    if (slot != kNoEdge) slot = incident[slot];
+  }
+}
+
+/// Appends one word-ordered edge row per candidate of `run` to `rows`.
+/// Word positions before `first` get kNoEdge without a lookup: the caller
+/// guarantees no candidate of the run is adjacent to them.
+FRACTAL_HOT void AppendWordRows(const Graph& graph,
+                                std::span<const VertexId> word, uint32_t first,
+                                std::span<const uint32_t> run,
+                                FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) {
+  if (run.empty()) return;
+  const size_t width = word.size();
+  const size_t base = rows->size();
+  adjacency::EnsureHeadroom(rows, run.size() * width);
+  rows->resize(base + run.size() * width, kNoEdge);
+  for (uint32_t q = first; q < width; ++q) {
+    FillRowColumn(graph, word[q], run, rows->data() + base + q, width);
+  }
+}
+
+/// The word-ordered edge row of `v`, by one adjacency search per word
+/// vertex — the row shape of the vertex-word strategies.
+FRACTAL_HOT void SearchWordRow(const Graph& graph,
+                               std::span<const VertexId> word, VertexId v,
+                               FRACTAL_ARENA_OUT std::vector<EdgeId>* row) {
+  row->clear();
+  adjacency::EnsureHeadroom(row, word.size());
+  for (const VertexId existing : word) {
+    row->push_back(graph.EdgeBetween(existing, v).value_or(kNoEdge));
+  }
+}
+
 }  // namespace
 
 // Single-pass reformulation of the Arabesque extension rule (proof sketch in
@@ -83,8 +123,10 @@ FRACTAL_HOT std::span<const uint32_t> FilterByHub(
 // reference emission order bit-for-bit.
 FRACTAL_HOT void VertexInducedStrategy::ComputeExtensions(
     const Graph& graph, const Subgraph& subgraph, ExtensionContext& ctx,
-    FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const {
+    FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+    FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const {
   out->clear();
+  if (rows != nullptr) rows->clear();
   if (subgraph.Empty()) {
     FRACTAL_HOT_ESCAPE("root enumeration runs once per step, not per node");
     for (VertexId v = 0; v < graph.NumVertices(); ++v) {
@@ -116,6 +158,7 @@ FRACTAL_HOT void VertexInducedStrategy::ComputeExtensions(
     const uint32_t bound = std::max(word[0], suffix[p + 1]);
     if (p == 0) {
       adjacency::CopyAbove(neighbors, bound, out);
+      if (rows != nullptr) AppendWordRows(graph, word, 0, *out, rows);
       continue;
     }
     // Seed the working set by fusing the bound with the first difference
@@ -145,13 +188,24 @@ FRACTAL_HOT void VertexInducedStrategy::ComputeExtensions(
     }
     adjacency::EnsureHeadroom(out, cur->size());
     out->insert(out->end(), cur->begin(), cur->end());
+    // The run's first attachment is p: the difference chain proved it has
+    // no edge to word[0..p-1].
+    if (rows != nullptr) AppendWordRows(graph, word, p, *cur, rows);
   }
 }
 
-FRACTAL_HOT void VertexInducedStrategy::Apply(const Graph& graph,
+FRACTAL_HOT void VertexInducedStrategy::Apply(const Graph& /*graph*/,
                                               uint32_t extension,
+                                              std::span<const EdgeId> row,
                                               Subgraph* subgraph) const {
-  subgraph->PushVertexInduced(graph, extension);
+  FRACTAL_DCHECK(row.size() == subgraph->NumVertices());
+  subgraph->PushVertexWithEdges(extension, row);
+}
+
+FRACTAL_HOT void VertexInducedStrategy::SearchRow(
+    const Graph& graph, const Subgraph& subgraph, uint32_t extension,
+    FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const {
+  SearchWordRow(graph, subgraph.Vertices(), extension, row);
 }
 
 // Same scan structure as the reference (incident-edge lists are sorted by
@@ -164,8 +218,11 @@ FRACTAL_HOT void VertexInducedStrategy::Apply(const Graph& graph,
 //     maximum of the edge word.
 FRACTAL_HOT void EdgeInducedStrategy::ComputeExtensions(
     const Graph& graph, const Subgraph& subgraph, ExtensionContext& ctx,
-    FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const {
+    FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+    FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const {
+  // An edge push reads its endpoints by id: edge rows are empty.
   out->clear();
+  if (rows != nullptr) rows->clear();
   if (subgraph.Empty()) {
     FRACTAL_HOT_ESCAPE("root enumeration runs once per step, not per node");
     ctx.extension_tests += graph.NumEdges();
@@ -238,8 +295,15 @@ FRACTAL_HOT void EdgeInducedStrategy::ComputeExtensions(
 
 FRACTAL_HOT void EdgeInducedStrategy::Apply(const Graph& graph,
                                             uint32_t extension,
+                                            std::span<const EdgeId> /*row*/,
                                             Subgraph* subgraph) const {
   subgraph->PushEdgeInduced(graph, extension);
+}
+
+FRACTAL_HOT void EdgeInducedStrategy::SearchRow(
+    const Graph& /*graph*/, const Subgraph& /*subgraph*/,
+    uint32_t /*extension*/, FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const {
+  row->clear();
 }
 
 PatternInducedStrategy::PatternInducedStrategy(Pattern pattern,
@@ -330,13 +394,15 @@ PatternInducedStrategy::PatternInducedStrategy(Pattern pattern,
 // filtered by label and containment: the intersections are "adjacent to
 // every required neighbor", the differences (induced only) are the induced
 // check, and [low, high) is the symmetry conditions folded into one id
-// range. Edge labels are checked per survivor, and only on graphs with more
-// than one edge label. Kernel outputs are ascending like the pivot's list,
-// so the emission order is the scan's too.
+// range. Edge labels are checked per survivor off its edge row, and only on
+// graphs with more than one edge label. Kernel outputs are ascending like
+// the pivot's list, so the emission order is the scan's too.
 FRACTAL_HOT void PatternInducedStrategy::ComputeExtensions(
     const Graph& graph, const Subgraph& subgraph, ExtensionContext& ctx,
-    FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const {
+    FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+    FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const {
   out->clear();
+  if (rows != nullptr) rows->clear();
   const uint32_t step = subgraph.NumVertices();
   if (step >= pattern_.NumVertices()) return;  // complete match
 
@@ -436,46 +502,75 @@ FRACTAL_HOT void PatternInducedStrategy::ComputeExtensions(
   const Label wanted = pattern_.VertexLabel(plan_order_[step]);
   adjacency::EnsureHeadroom(out, candidates.size());
   for (const VertexId u : candidates) {
-    if (graph.VertexLabel(u) != wanted || subgraph.ContainsVertex(u)) continue;
-    bool labels_match = true;
-    if (!uniform_label) {
-      for (const RequiredNeighbor& req : required) {
-        const auto edge = graph.EdgeBetween(matched[req.step], u);
-        FRACTAL_DCHECK(edge.has_value());
-        if (graph.GetEdgeLabel(*edge) != req.edge_label) {
-          labels_match = false;
-          break;
-        }
-      }
+    if (graph.VertexLabel(u) == wanted && !subgraph.ContainsVertex(u)) {
+      out->push_back(u);
     }
-    if (labels_match) out->push_back(u);
+  }
+  if (out->empty()) return;
+  if (rows != nullptr) {
+    EmitRows(graph, matched, step, !uniform_label, out, rows);
+  } else if (!uniform_label) {
+    // The label check reads the rows: fill them into scratch.
+    ScratchArena::BufferLease scratch_rows(ctx.arena);
+    EmitRows(graph, matched, step, /*check_labels=*/true, out,
+             scratch_rows.get());
   }
 }
 
-FRACTAL_HOT void PatternInducedStrategy::Apply(const Graph& graph,
-                                               uint32_t extension,
-                                               Subgraph* subgraph) const {
-  const uint32_t step = subgraph->NumVertices();
-  if (step == 0) {
-    subgraph->PushVertexWithEdges(extension, {});
-    return;
-  }
-  // Collect the pattern-required incident edges on the stack: their count is
-  // bounded by the pattern size, and a heap vector here used to be a per-push
-  // allocation on the hottest pattern-matching path.
-  EdgeId edges[kMaxPatternApplyEdges];
+FRACTAL_HOT void PatternInducedStrategy::EmitRows(
+    const Graph& graph, std::span<const VertexId> matched, uint32_t step,
+    bool check_labels, FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+    FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const {
+  // Every survivor is adjacent to every required neighbor: no kNoEdge.
   const auto& required = required_neighbors_[step];
-  FRACTAL_CHECK(required.size() <= kMaxPatternApplyEdges)
-      << "pattern step requires more edges than the Apply stack buffer";
-  const auto matched = subgraph->Vertices();
-  uint32_t count = 0;
+  const size_t width = required.size();
+  rows->clear();
+  adjacency::EnsureHeadroom(rows, out->size() * width);
+  rows->resize(out->size() * width);
+  for (size_t i = 0; i < width; ++i) {
+    FillRowColumn(graph, matched[required[i].step], *out, rows->data() + i,
+                  width);
+  }
+  if (!check_labels) return;
+  size_t kept = 0;
+  for (size_t c = 0; c < out->size(); ++c) {
+    const EdgeId* row = rows->data() + c * width;
+    bool labels_match = true;
+    for (size_t i = 0; i < width && labels_match; ++i) {
+      labels_match = graph.GetEdgeLabel(row[i]) == required[i].edge_label;
+    }
+    if (!labels_match) continue;
+    (*out)[kept] = (*out)[c];
+    std::copy(row, row + width, rows->data() + kept * width);
+    ++kept;
+  }
+  out->resize(kept);
+  rows->resize(kept * width);
+}
+
+FRACTAL_HOT void PatternInducedStrategy::Apply(const Graph& /*graph*/,
+                                               uint32_t extension,
+                                               std::span<const EdgeId> row,
+                                               Subgraph* subgraph) const {
+  FRACTAL_DCHECK(row.size() ==
+                 required_neighbors_[subgraph->NumVertices()].size());
+  subgraph->PushVertexWithEdges(extension, row);
+}
+
+FRACTAL_HOT void PatternInducedStrategy::SearchRow(
+    const Graph& graph, const Subgraph& subgraph, uint32_t extension,
+    FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const {
+  row->clear();
+  const uint32_t step = subgraph.NumVertices();
+  if (step == 0) return;
+  const auto& required = required_neighbors_[step];
+  const auto matched = subgraph.Vertices();
+  adjacency::EnsureHeadroom(row, required.size());
   for (const RequiredNeighbor& req : required) {
     const auto edge = graph.EdgeBetween(matched[req.step], extension);
     FRACTAL_DCHECK(edge.has_value());
-    edges[count++] = *edge;
+    row->push_back(*edge);
   }
-  subgraph->PushVertexWithEdges(extension,
-                                std::span<const EdgeId>(edges, count));
 }
 
 // Clique extension as a chain of sorted intersections: start from the
@@ -487,8 +582,10 @@ FRACTAL_HOT void PatternInducedStrategy::Apply(const Graph& graph,
 // |working set| per pass yields the same total.
 FRACTAL_HOT void KClistStrategy::ComputeExtensions(
     const Graph& graph, const Subgraph& subgraph, ExtensionContext& ctx,
-    FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const {
+    FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+    FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const {
   out->clear();
+  if (rows != nullptr) rows->clear();
   if (subgraph.Empty()) {
     FRACTAL_HOT_ESCAPE("root enumeration runs once per step, not per node");
     for (VertexId v = 0; v < graph.NumVertices(); ++v) {
@@ -509,9 +606,9 @@ FRACTAL_HOT void KClistStrategy::ComputeExtensions(
   if (word.size() == 1) {
     // Sole clique vertex is the pivot: every bounded neighbor survives and
     // the reference charges it a single test.
-    const size_t before = out->size();
     adjacency::CopyAbove(neighbors, last, out);
-    ctx.extension_tests += out->size() - before;
+    ctx.extension_tests += out->size();
+    if (rows != nullptr) AppendWordRows(graph, word, 0, *out, rows);
     return;
   }
   ScratchArena::BufferLease cur_lease(ctx.arena);
@@ -532,38 +629,22 @@ FRACTAL_HOT void KClistStrategy::ComputeExtensions(
   }
   adjacency::EnsureHeadroom(out, cur->size());
   out->insert(out->end(), cur->begin(), cur->end());
+  // Every candidate is adjacent to the whole clique: rows have no kNoEdge.
+  if (rows != nullptr) AppendWordRows(graph, word, 0, *out, rows);
 }
 
-FRACTAL_HOT void KClistStrategy::Apply(const Graph& graph, uint32_t extension,
+FRACTAL_HOT void KClistStrategy::Apply(const Graph& /*graph*/,
+                                       uint32_t extension,
+                                       std::span<const EdgeId> row,
                                        Subgraph* subgraph) const {
-  subgraph->PushVertexInduced(graph, extension);
+  FRACTAL_DCHECK(row.size() == subgraph->NumVertices());
+  subgraph->PushVertexWithEdges(extension, row);
 }
 
-bool UseReferenceExtensions() {
-  const char* flag = std::getenv("FRACTAL_REFERENCE_EXTENSIONS");
-  return flag != nullptr && flag[0] != '\0' &&
-         !(flag[0] == '0' && flag[1] == '\0');
-}
-
-std::shared_ptr<ExtensionStrategy> MakeVertexInducedStrategy() {
-  if (UseReferenceExtensions()) {
-    return std::make_shared<ReferenceVertexInducedStrategy>();
-  }
-  return std::make_shared<VertexInducedStrategy>();
-}
-
-std::shared_ptr<ExtensionStrategy> MakeEdgeInducedStrategy() {
-  if (UseReferenceExtensions()) {
-    return std::make_shared<ReferenceEdgeInducedStrategy>();
-  }
-  return std::make_shared<EdgeInducedStrategy>();
-}
-
-std::shared_ptr<ExtensionStrategy> MakeKClistStrategy() {
-  if (UseReferenceExtensions()) {
-    return std::make_shared<ReferenceKClistStrategy>();
-  }
-  return std::make_shared<KClistStrategy>();
+FRACTAL_HOT void KClistStrategy::SearchRow(
+    const Graph& graph, const Subgraph& subgraph, uint32_t extension,
+    FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const {
+  SearchWordRow(graph, subgraph.Vertices(), extension, row);
 }
 
 }  // namespace fractal

@@ -16,7 +16,7 @@
 #ifndef FRACTAL_ENUMERATE_EXTENSION_H_
 #define FRACTAL_ENUMERATE_EXTENSION_H_
 
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "enumerate/scratch_arena.h"
@@ -39,22 +39,56 @@ struct ExtensionContext {
   ScratchArena arena;
 };
 
+/// Edge-row entry for a word position the candidate has no edge to.
+inline constexpr EdgeId kNoEdge = kInvalidEdge;
+
 /// Strategy interface (one implementation per fractoid type).
+///
+/// Edge rows (DESIGN.md §8): next to each candidate, ComputeExtensions can
+/// emit the incident edge ids its push needs, so Apply pushes without
+/// searching adjacency. Rows are row-major in `rows`, one row of equal
+/// width per candidate, in candidate order: one entry per word position
+/// (kNoEdge where the candidate is not adjacent) for the vertex-word
+/// strategies, one per required neighbor for the pattern-induced strategy,
+/// none for the edge-induced strategy and at the root.
 class ExtensionStrategy {
  public:
   virtual ~ExtensionStrategy() = default;
 
-  /// Appends the extension candidates of `subgraph` to `out` (cleared
-  /// first). With an empty subgraph this yields the root extensions: all
-  /// active vertices (vertex/pattern modes) or all edges (edge mode).
-  /// Hot-path root: called once per DFS node (DESIGN.md §9).
+  /// Replaces `out` with the extension candidates of `subgraph` and, when
+  /// `rows` is non-null, `*rows` with their edge rows. With an empty
+  /// subgraph this yields the root extensions: all active vertices
+  /// (vertex/pattern modes) or all edges (edge mode). Rows are not charged
+  /// as extension tests. Hot-path root: called once per DFS node
+  /// (DESIGN.md §9).
   FRACTAL_HOT virtual void ComputeExtensions(
       const Graph& graph, const Subgraph& subgraph, ExtensionContext& ctx,
-      FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const = 0;
+      FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+      FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const = 0;
 
-  /// Pushes candidate `extension` onto the subgraph. Hot-path root.
+  /// Pushes candidate `extension` onto the subgraph, taking its incident
+  /// edges from `row` (as ComputeExtensions or SearchRow emitted it for
+  /// this subgraph). Hot-path root.
   FRACTAL_HOT virtual void Apply(const Graph& graph, uint32_t extension,
+                                 std::span<const EdgeId> row,
                                  Subgraph* subgraph) const = 0;
+
+  /// Replaces `*row` with the edge row of `extension` on `subgraph`, found
+  /// by searching adjacency: for work that arrives without its row.
+  FRACTAL_HOT virtual void SearchRow(
+      const Graph& graph, const Subgraph& subgraph, uint32_t extension,
+      FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const = 0;
+
+  /// Apply with the row rebuilt by SearchRow into an `arena` lease: the
+  /// push for stolen, codec-shipped and salvage-replayed work, whose
+  /// descriptors carry no rows.
+  FRACTAL_HOT void ApplyBySearch(const Graph& graph, uint32_t extension,
+                                 Subgraph* subgraph,
+                                 ScratchArena& arena) const {
+    ScratchArena::BufferLease row(arena);
+    SearchRow(graph, *subgraph, extension, row.get());
+    Apply(graph, extension, *row, subgraph);
+  }
 
   /// Undoes the most recent Apply. Hot-path root.
   FRACTAL_HOT virtual void Undo(const Graph& /*graph*/,
@@ -73,9 +107,14 @@ class VertexInducedStrategy : public ExtensionStrategy {
  public:
   FRACTAL_HOT void ComputeExtensions(
       const Graph& graph, const Subgraph& subgraph, ExtensionContext& ctx,
-      FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const override;
+      FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+      FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const override;
   FRACTAL_HOT void Apply(const Graph& graph, uint32_t extension,
+                         std::span<const EdgeId> row,
                          Subgraph* subgraph) const override;
+  FRACTAL_HOT void SearchRow(
+      const Graph& graph, const Subgraph& subgraph, uint32_t extension,
+      FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const override;
 };
 
 /// Edge-induced extension with canonical subgraph checking. Used by FSM and
@@ -84,9 +123,14 @@ class EdgeInducedStrategy : public ExtensionStrategy {
  public:
   FRACTAL_HOT void ComputeExtensions(
       const Graph& graph, const Subgraph& subgraph, ExtensionContext& ctx,
-      FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const override;
+      FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+      FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const override;
   FRACTAL_HOT void Apply(const Graph& graph, uint32_t extension,
+                         std::span<const EdgeId> row,
                          Subgraph* subgraph) const override;
+  FRACTAL_HOT void SearchRow(
+      const Graph& graph, const Subgraph& subgraph, uint32_t extension,
+      FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const override;
 };
 
 /// Whether a pattern match requires the absence of non-pattern edges.
@@ -109,9 +153,14 @@ class PatternInducedStrategy : public ExtensionStrategy {
 
   FRACTAL_HOT void ComputeExtensions(
       const Graph& graph, const Subgraph& subgraph, ExtensionContext& ctx,
-      FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const override;
+      FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+      FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const override;
   FRACTAL_HOT void Apply(const Graph& graph, uint32_t extension,
+                         std::span<const EdgeId> row,
                          Subgraph* subgraph) const override;
+  FRACTAL_HOT void SearchRow(
+      const Graph& graph, const Subgraph& subgraph, uint32_t extension,
+      FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const override;
   uint32_t MaxDepth() const override { return pattern_.NumVertices(); }
 
   const Pattern& pattern() const { return pattern_; }
@@ -143,6 +192,15 @@ class PatternInducedStrategy : public ExtensionStrategy {
   // vertex matched at k must avoid.
   std::vector<std::vector<uint32_t>> induced_exclusions_;
   Label FirstLabel() const { return pattern_.VertexLabel(plan_order_[0]); }
+  /// Replaces `*rows` with the edge rows of the candidates in `out` (one
+  /// entry per required neighbor of `step`); with `check_labels`, then
+  /// drops the candidates, and their rows, whose edges miss a required
+  /// label.
+  FRACTAL_HOT void EmitRows(const Graph& graph,
+                            std::span<const VertexId> matched, uint32_t step,
+                            bool check_labels,
+                            FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+                            FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const;
 };
 
 /// Optimized clique extension in the spirit of KClist (paper Appendix B,
@@ -153,23 +211,15 @@ class KClistStrategy : public ExtensionStrategy {
  public:
   FRACTAL_HOT void ComputeExtensions(
       const Graph& graph, const Subgraph& subgraph, ExtensionContext& ctx,
-      FRACTAL_ARENA_OUT std::vector<uint32_t>* out) const override;
+      FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+      FRACTAL_ARENA_OUT std::vector<EdgeId>* rows) const override;
   FRACTAL_HOT void Apply(const Graph& graph, uint32_t extension,
+                         std::span<const EdgeId> row,
                          Subgraph* subgraph) const override;
+  FRACTAL_HOT void SearchRow(
+      const Graph& graph, const Subgraph& subgraph, uint32_t extension,
+      FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const override;
 };
-
-/// True when the FRACTAL_REFERENCE_EXTENSIONS environment variable is set
-/// (non-empty, not "0"): the factories below then return the pre-kernel
-/// reference strategies from reference_extension.h instead of the fused
-/// ones. The A/B path for benchmarking and differential testing.
-bool UseReferenceExtensions();
-
-/// Strategy factories honoring FRACTAL_REFERENCE_EXTENSIONS. Application
-/// code (core/context.cc) goes through these; tests that need a specific
-/// implementation construct it directly.
-std::shared_ptr<ExtensionStrategy> MakeVertexInducedStrategy();
-std::shared_ptr<ExtensionStrategy> MakeEdgeInducedStrategy();
-std::shared_ptr<ExtensionStrategy> MakeKClistStrategy();
 
 }  // namespace fractal
 

@@ -32,8 +32,10 @@ class SamplingStrategy : public ExtensionStrategy {
 
   void ComputeExtensions(const Graph& graph, const Subgraph& subgraph,
                          ExtensionContext& ctx,
-                         std::vector<uint32_t>* out) const override {
-    base_->ComputeExtensions(graph, subgraph, ctx, out);
+                         FRACTAL_ARENA_OUT std::vector<uint32_t>* out,
+                         FRACTAL_ARENA_OUT std::vector<EdgeId>* rows)
+      const override {
+    base_->ComputeExtensions(graph, subgraph, ctx, out, rows);
     if (keep_probability_ >= 1.0) return;
     const uint64_t prefix_hash = HashSubgraph(subgraph);
     auto keep = [this, prefix_hash](uint32_t extension) {
@@ -41,14 +43,31 @@ class SamplingStrategy : public ExtensionStrategy {
       h = Mix(h);
       return (h >> 11) * 0x1.0p-53 < keep_probability_;
     };
-    out->erase(std::remove_if(out->begin(), out->end(),
-                              [&keep](uint32_t e) { return !keep(e); }),
-               out->end());
+    // Compact candidates and their edge rows in lockstep.
+    const size_t width =
+        rows == nullptr || out->empty() ? 0 : rows->size() / out->size();
+    size_t kept = 0;
+    for (size_t i = 0; i < out->size(); ++i) {
+      if (!keep((*out)[i])) continue;
+      (*out)[kept] = (*out)[i];
+      if (width > 0) {
+        std::copy_n(rows->begin() + i * width, width,
+                    rows->begin() + kept * width);
+      }
+      ++kept;
+    }
+    out->resize(kept);
+    if (width > 0) rows->resize(kept * width);
   }
 
   void Apply(const Graph& graph, uint32_t extension,
-             Subgraph* subgraph) const override {
-    base_->Apply(graph, extension, subgraph);
+             std::span<const EdgeId> row, Subgraph* subgraph) const override {
+    base_->Apply(graph, extension, row, subgraph);
+  }
+  void SearchRow(const Graph& graph, const Subgraph& subgraph,
+                 uint32_t extension,
+                 FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const override {
+    base_->SearchRow(graph, subgraph, extension, row);
   }
   void Undo(const Graph& graph, Subgraph* subgraph) const override {
     base_->Undo(graph, subgraph);

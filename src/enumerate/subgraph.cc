@@ -72,7 +72,7 @@ FRACTAL_HOT void Subgraph::ReserveForPush(size_t max_new_edges) {
   grow(edges_, edges_.size() + max_new_edges);
 }
 
-FRACTAL_HOT void Subgraph::PushVertexInduced(const Graph& graph, VertexId v) {
+void Subgraph::PushVertexInduced(const Graph& graph, VertexId v) {
   FRACTAL_DCHECK(!ContainsVertex(v));
   // Every existing vertex contributes at most one edge to v.
   ReserveForPush(vertices_.size());
@@ -120,6 +120,7 @@ FRACTAL_HOT void Subgraph::PushVertexWithEdges(VertexId v,
   PushRecord record;
   record.vertices_added = 1;
   for (const EdgeId e : edges) {
+    if (e == kInvalidEdge) continue;
     FRACTAL_DCHECK(!ContainsEdge(e));
     edges_.push_back(e);
     SetBit(edge_bits_, e);

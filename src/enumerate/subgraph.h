@@ -56,15 +56,18 @@ class Subgraph {
   bool ContainsEdge(EdgeId e) const { return TestBit(edge_bits_, e); }
 
   /// Vertex-induced push: appends v plus every edge connecting v to the
-  /// current vertices (Fig. 1, vertex-induced extension). Hot-path root.
-  FRACTAL_HOT void PushVertexInduced(const Graph& graph, VertexId v);
+  /// current vertices (Fig. 1, vertex-induced extension), found by one
+  /// adjacency search per vertex. For building subgraphs outside the DFS;
+  /// the strategies push with edge rows instead.
+  void PushVertexInduced(const Graph& graph, VertexId v);
 
   /// Edge-induced push: appends edge e plus its endpoints that are not yet
   /// in the subgraph (Fig. 1, edge-induced extension). Hot-path root.
   FRACTAL_HOT void PushEdgeInduced(const Graph& graph, EdgeId e);
 
-  /// Pattern-induced push: appends v plus exactly the given incident edges
-  /// (the ones the reference pattern requires). Hot-path root.
+  /// Appends v plus the given incident edges, in order, skipping
+  /// kInvalidEdge entries: the push behind every vertex-adding strategy,
+  /// fed an edge row (enumerate/extension.h). Hot-path root.
   FRACTAL_HOT void PushVertexWithEdges(VertexId v,
                                        std::span<const EdgeId> edges);
 

@@ -160,5 +160,29 @@ FRACTAL_HOT void CopyAbove(std::span<const uint32_t> a, uint32_t bound,
   out->insert(out->end(), tail.begin(), tail.end());
 }
 
+FRACTAL_HOT void Locate(std::span<const uint32_t> needles,
+                        std::span<const uint32_t> haystack,
+                        uint32_t* positions, size_t stride) {
+  if (needles.empty()) return;
+  size_t j = GallopLowerBound(haystack, 0, needles[0]);
+  if (ShouldGallop(needles.size(), haystack.size() - j)) {
+    for (size_t i = 0; i < needles.size(); ++i) {
+      j = GallopLowerBound(haystack, j, needles[i]);
+      positions[i * stride] =
+          j < haystack.size() && haystack[j] == needles[i]
+              ? static_cast<uint32_t>(j)
+              : kNotFound;
+    }
+    return;
+  }
+  for (size_t i = 0; i < needles.size(); ++i) {
+    const uint32_t x = needles[i];
+    while (j < haystack.size() && haystack[j] < x) ++j;
+    positions[i * stride] = j < haystack.size() && haystack[j] == x
+                                ? static_cast<uint32_t>(j)
+                                : kNotFound;
+  }
+}
+
 }  // namespace adjacency
 }  // namespace fractal

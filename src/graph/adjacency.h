@@ -76,6 +76,20 @@ FRACTAL_HOT void DifferenceAbove(std::span<const uint32_t> a, std::span<const ui
 FRACTAL_HOT void CopyAbove(std::span<const uint32_t> a, uint32_t bound,
                FRACTAL_ARENA_OUT std::vector<uint32_t>* out);
 
+/// Position Locate writes for a needle the haystack does not hold.
+inline constexpr uint32_t kNotFound = UINT32_MAX;
+
+/// Writes, for each element needles[i] of an ascending run, its index in
+/// the ascending `haystack` (kNotFound when absent) to positions[i *
+/// stride] — one column of a row-major table, so a single call fills one
+/// word position of every candidate's edge row (DESIGN.md §8). Skips to the
+/// first needle by galloping, then merges, or keeps galloping when the
+/// haystack is much longer than the run (a hub's list). A lookup, not a
+/// filter: not counted as a kernel invocation.
+FRACTAL_HOT void Locate(std::span<const uint32_t> needles,
+                        std::span<const uint32_t> haystack,
+                        uint32_t* positions, size_t stride);
+
 }  // namespace adjacency
 }  // namespace fractal
 

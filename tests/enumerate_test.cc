@@ -50,9 +50,14 @@ struct DfsDriver {
       return;
     }
     std::vector<uint32_t> extensions;
-    strategy.ComputeExtensions(graph, subgraph, ctx, &extensions);
-    for (const uint32_t extension : extensions) {
-      strategy.Apply(graph, extension, &subgraph);
+    std::vector<EdgeId> rows;
+    strategy.ComputeExtensions(graph, subgraph, ctx, &extensions, &rows);
+    const size_t width =
+        extensions.empty() ? 0 : rows.size() / extensions.size();
+    for (size_t i = 0; i < extensions.size(); ++i) {
+      strategy.Apply(graph, extensions[i],
+                     std::span<const EdgeId>(rows.data() + i * width, width),
+                     &subgraph);
       Recurse(subgraph);
       strategy.Undo(graph, &subgraph);
     }
@@ -203,7 +208,7 @@ TEST(VertexInducedTest, PaperFigure1Extensions) {
   VertexInducedStrategy vertex_strategy;
   ExtensionContext ctx;
   std::vector<uint32_t> extensions;
-  vertex_strategy.ComputeExtensions(g, s, ctx, &extensions);
+  vertex_strategy.ComputeExtensions(g, s, ctx, &extensions, nullptr);
   EXPECT_EQ(std::set<uint32_t>(extensions.begin(), extensions.end()),
             (std::set<uint32_t>{4, 5, 6}));
 
@@ -212,7 +217,7 @@ TEST(VertexInducedTest, PaperFigure1Extensions) {
   Subgraph es;
   for (EdgeId e : {0u, 1u, 2u, 3u}) es.PushEdgeInduced(g, e);
   EdgeInducedStrategy edge_strategy;
-  edge_strategy.ComputeExtensions(g, es, ctx, &extensions);
+  edge_strategy.ComputeExtensions(g, es, ctx, &extensions, nullptr);
   EXPECT_EQ(std::set<uint32_t>(extensions.begin(), extensions.end()),
             (std::set<uint32_t>{4, 5, 6, 7, 8, 9}));
 }
@@ -366,12 +371,18 @@ TEST(PatternEnumerationTest, RespectsLabels) {
 TEST(EnumeratorTest, OwnerConsumesAll) {
   SubgraphEnumerator enumerator;
   Subgraph prefix;
-  enumerator.Refill(prefix, 3, {10, 20, 30});
+  enumerator.Refill(prefix, 3, {10, 20, 30}, {100, 101, 200, 201, 300, 301});
   EXPECT_TRUE(enumerator.LooksNonEmpty());
   EXPECT_EQ(enumerator.primitive_index(), 3u);
   std::vector<uint32_t> consumed;
-  while (auto e = enumerator.ConsumeNext()) consumed.push_back(*e);
+  std::vector<EdgeId> rows;
+  while (auto index = enumerator.ConsumeNext()) {
+    consumed.push_back(enumerator.extension(*index));
+    const auto row = enumerator.row(*index);
+    rows.insert(rows.end(), row.begin(), row.end());
+  }
   EXPECT_EQ(consumed, (std::vector<uint32_t>{10, 20, 30}));
+  EXPECT_EQ(rows, (std::vector<EdgeId>{100, 101, 200, 201, 300, 301}));
   EXPECT_FALSE(enumerator.LooksNonEmpty());
 }
 
@@ -380,7 +391,7 @@ TEST(EnumeratorTest, StealClaimsDisjointExtensions) {
   SubgraphEnumerator enumerator;
   Subgraph prefix;
   prefix.PushVertexInduced(g, 0);
-  enumerator.Refill(prefix, 2, {1, 2, 3, 4});
+  enumerator.Refill(prefix, 2, {1, 2, 3, 4}, {});
 
   SubgraphEnumerator::StolenWork stolen;
   ASSERT_TRUE(enumerator.TrySteal(&stolen));
@@ -390,7 +401,9 @@ TEST(EnumeratorTest, StealClaimsDisjointExtensions) {
   EXPECT_EQ(stolen.prefix.VertexAt(0), 0u);
 
   std::vector<uint32_t> owner_got;
-  while (auto e = enumerator.ConsumeNext()) owner_got.push_back(*e);
+  while (auto index = enumerator.ConsumeNext()) {
+    owner_got.push_back(enumerator.extension(*index));
+  }
   EXPECT_EQ(owner_got, (std::vector<uint32_t>{2, 3, 4}));
 
   EXPECT_FALSE(enumerator.TrySteal(&stolen));
@@ -404,14 +417,16 @@ TEST(EnumeratorTest, ConcurrentConsumptionIsExactlyOnce) {
   constexpr uint32_t kExtensions = 10000;
   std::vector<uint32_t> extensions(kExtensions);
   for (uint32_t i = 0; i < kExtensions; ++i) extensions[i] = i;
-  enumerator.Refill(prefix, 1, std::move(extensions));
+  enumerator.Refill(prefix, 1, std::move(extensions), {});
 
   std::vector<std::vector<uint32_t>> claimed(4);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&enumerator, &claimed, t] {
       if (t == 0) {
-        while (auto e = enumerator.ConsumeNext()) claimed[t].push_back(*e);
+        while (auto index = enumerator.ConsumeNext()) {
+          claimed[t].push_back(enumerator.extension(*index));
+        }
       } else {
         SubgraphEnumerator::StolenWork work;
         while (enumerator.TrySteal(&work)) {
@@ -434,10 +449,10 @@ TEST(ExtensionCostTest, CountsCandidateTests) {
   ExtensionContext ctx;
   Subgraph s;
   std::vector<uint32_t> extensions;
-  strategy.ComputeExtensions(g, s, ctx, &extensions);
+  strategy.ComputeExtensions(g, s, ctx, &extensions, nullptr);
   EXPECT_EQ(ctx.extension_tests, 5u);  // one root test per vertex
   s.PushVertexInduced(g, 0);
-  strategy.ComputeExtensions(g, s, ctx, &extensions);
+  strategy.ComputeExtensions(g, s, ctx, &extensions, nullptr);
   EXPECT_GT(ctx.extension_tests, 5u);
 }
 

@@ -397,6 +397,42 @@ TEST(AdjacencyKernelTest, MatchesStdAlgorithmsAcrossSizeRatios) {
   }
 }
 
+TEST(AdjacencyKernelTest, LocateMatchesLowerBoundAcrossSizeRatios) {
+  SplitMix64 rng(4321);
+  // Both sides of the merge/gallop crossover, with needles drawn half from
+  // the haystack (hits) and half at random (mostly misses).
+  const std::pair<size_t, size_t> shapes[] = {
+      {0, 10}, {10, 0}, {5, 7}, {30, 31}, {4, 400}, {400, 4}, {1, 500},
+      {64, 64}, {3, 1000}, {200, 1000}};
+  for (const auto& [num_needles, num_haystack] : shapes) {
+    const std::vector<uint32_t> haystack =
+        SortedRandomSet(rng, num_haystack, 2000);
+    std::set<uint32_t> picked;
+    while (picked.size() < num_needles) {
+      picked.insert(rng.NextBounded(2) == 0 && !haystack.empty()
+                        ? haystack[rng.NextBounded(haystack.size())]
+                        : static_cast<uint32_t>(rng.NextBounded(2000)));
+    }
+    const std::vector<uint32_t> needles(picked.begin(), picked.end());
+    // Strided output: column 1 of a 3-wide table, the rest untouched.
+    constexpr size_t kStride = 3;
+    std::vector<uint32_t> table(needles.size() * kStride, 7);
+    adjacency::Locate(needles, haystack, table.data() + 1, kStride);
+    for (size_t i = 0; i < needles.size(); ++i) {
+      const auto it =
+          std::lower_bound(haystack.begin(), haystack.end(), needles[i]);
+      const uint32_t expected =
+          it != haystack.end() && *it == needles[i]
+              ? static_cast<uint32_t>(it - haystack.begin())
+              : adjacency::kNotFound;
+      EXPECT_EQ(table[i * kStride + 1], expected)
+          << num_needles << "x" << num_haystack << " needle " << needles[i];
+      EXPECT_EQ(table[i * kStride], 7u);
+      EXPECT_EQ(table[i * kStride + 2], 7u);
+    }
+  }
+}
+
 TEST(AdjacencyKernelTest, AppendsWithoutClearing) {
   const std::vector<uint32_t> a = {1, 3, 5};
   const std::vector<uint32_t> b = {3, 5, 7};

@@ -1,8 +1,9 @@
 // End-to-end check of the hot-path allocation discipline (DESIGN.md §9):
 // after the per-step warm-up, full-cluster runs of the vertex-induced,
-// edge-induced, KClist and pattern-induced strategies, and of motif
-// counting's pattern aggregation, perform ZERO heap allocations in their
-// steady-state DFS regions. FractoidStepTask arms an AllocGuard around each
+// edge-induced, KClist and pattern-induced strategies, of Listing 2's
+// triangles, of SEED q2/q6, and of motif counting's pattern aggregation,
+// perform ZERO heap allocations in their steady-state DFS regions — edge
+// rows included. FractoidStepTask arms an AllocGuard around each
 // extension once a thread has consumed AllocGuard::warmup_units() work units
 // in the step; these tests crank the global mode to kCount (assert the
 // observed total is zero) and kAbort (completing at all is the assertion),
@@ -174,6 +175,55 @@ TEST_F(HotPathTest, MotifAggregationCompletesUnderAbortMode) {
   const MotifsResult aborted_mode = RunMotifs(g, SmallCluster());
   AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
   EXPECT_EQ(aborted_mode.counts, expected.counts);
+}
+
+// Listing 2's triangles: vertex-induced extension with a clique filter, the
+// path whose pushes read edge rows instead of searching adjacency. The rows
+// ride in recycled frame storage next to the extensions, so the guarded
+// region stays allocation-free.
+Graph TriangleGraph() {
+  return GenerateRandomGraph(/*num_vertices=*/300, /*num_edges=*/4000,
+                             /*num_vertex_labels=*/1, /*num_edge_labels=*/1,
+                             /*seed=*/29);
+}
+
+uint64_t RunTriangles(const Graph& g, const ExecutionConfig& config) {
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  return CountTriangles(graph, config);
+}
+
+TEST_F(HotPathTest, TrianglesAreAllocationFreeUnderCountMode) {
+  const Graph g = TriangleGraph();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const uint64_t expected = RunTriangles(g, SmallCluster());
+  ASSERT_GT(expected, 0u);
+
+  const uint64_t work_before = obs::WorkUnitsCounter().Value();
+  const uint64_t guarded_before = AllocGuard::TotalGuardedAllocations();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kCount);
+  const uint64_t counted = RunTriangles(g, SmallCluster());
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const uint64_t guarded = AllocGuard::TotalGuardedAllocations() -
+                           guarded_before;
+  const uint64_t work = obs::WorkUnitsCounter().Value() - work_before;
+
+  EXPECT_EQ(counted, expected);
+  // Each of the 4 threads well past warm-up, so the guards arm.
+  ASSERT_GT(work, 4 * 4 * AllocGuard::warmup_units());
+  EXPECT_EQ(guarded, 0u)
+      << "steady-state heap allocations on the triangle path";
+}
+
+TEST_F(HotPathTest, TrianglesCompleteUnderAbortMode) {
+  const Graph g = TriangleGraph();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const uint64_t expected = RunTriangles(g, SmallCluster());
+
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kAbort);
+  const uint64_t aborted_mode = RunTriangles(g, SmallCluster());
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  EXPECT_EQ(aborted_mode, expected);
 }
 
 // SEED q2 (square) and q6 (house) through PFractoid: the pattern-induced

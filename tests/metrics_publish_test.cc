@@ -293,26 +293,32 @@ ModelStep ModelMotifStep(const Graph& graph, uint32_t k) {
     const uint32_t depth = subgraph.Depth();
     if (depth == k) return;
     std::vector<uint32_t> extensions;
-    strategy.ComputeExtensions(graph, subgraph, ctx, &extensions);
+    std::vector<EdgeId> rows;
+    strategy.ComputeExtensions(graph, subgraph, ctx, &extensions, &rows);
     state_bytes -= frame_bytes[depth];
     frame_bytes[depth] = extensions.size() * sizeof(uint32_t) +
+                         rows.size() * sizeof(EdgeId) +
                          subgraph.NumVertices() * sizeof(VertexId) +
                          subgraph.NumEdges() * sizeof(EdgeId);
     state_bytes += frame_bytes[depth];
     model.peak_state_bytes = std::max(model.peak_state_bytes, state_bytes);
     record(extensions.size());
     if (extensions.empty()) ++model.empty_nodes;
-    for (const uint32_t extension : extensions) {
-      strategy.Apply(graph, extension, &subgraph);
+    const size_t width =
+        extensions.empty() ? 0 : rows.size() / extensions.size();
+    for (size_t i = 0; i < extensions.size(); ++i) {
+      strategy.Apply(graph, extensions[i],
+                     std::span<const EdgeId>(rows.data() + i * width, width),
+                     &subgraph);
       self(self);
       strategy.Undo(graph, &subgraph);
     }
   };
   std::vector<uint32_t> roots;
-  strategy.ComputeExtensions(graph, subgraph, ctx, &roots);
+  strategy.ComputeExtensions(graph, subgraph, ctx, &roots, nullptr);
   record(roots.size());
   for (const uint32_t root : roots) {
-    strategy.Apply(graph, root, &subgraph);
+    strategy.Apply(graph, root, {}, &subgraph);
     expand(expand);
     strategy.Undo(graph, &subgraph);
   }

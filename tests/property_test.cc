@@ -11,7 +11,6 @@
 #include <set>
 
 #include "apps/cliques.h"
-#include "enumerate/reference_extension.h"
 #include "apps/fsm.h"
 #include "apps/keyword_search.h"
 #include "apps/motifs.h"
@@ -21,6 +20,7 @@
 #include "pattern/canonical.h"
 #include "pattern/dfs_code.h"
 #include "tests/brute_force.h"
+#include "tests/reference_extension.h"
 #include "util/random.h"
 
 namespace fractal {
@@ -244,31 +244,61 @@ TEST_P(SeededProperty, KeywordSearchReductionInvariance) {
 // ===== Extension-kernel differential sweep (DESIGN.md §8) ==================
 // The fused set-algebra strategies in enumerate/extension.cc must be
 // observationally identical to the pre-kernel reference strategies: the same
-// extension sequence (order included, not just the same set) and the same
-// extension-test (EC) charge, at every subgraph the enumeration can reach.
-// Walks the full reference enumeration tree to `max_depth`, comparing
-// ComputeExtensions output at every node.
+// extension sequence (order included, not just the same set), the same
+// extension-test (EC) charge, and the same edge row per candidate, at every
+// subgraph the enumeration can reach. The reference rows come from one
+// Graph::EdgeBetween per entry, so a kernel row that drops, reorders or
+// misreads an entry fails here. Walks the full enumeration tree to
+// `max_depth`. At every node a rows-free call (the single-thread baselines'
+// form) must yield the same candidates and EC charge; for every candidate
+// it descends into, the kernel's own SearchRow (the thief's rebuild) must
+// reproduce the emitted row, and the kernel's row push and the reference's
+// search push must build identical vertex and edge words.
 void DifferentialSweep(const Graph& g, const ExtensionStrategy& kernel,
                        const ExtensionStrategy& reference,
                        uint32_t max_depth) {
   ExtensionContext kernel_ctx;
+  ExtensionContext plain_ctx;
   ExtensionContext reference_ctx;
   Subgraph kernel_sub;
   Subgraph reference_sub;
   std::vector<uint32_t> kernel_out;
+  std::vector<uint32_t> plain_out;
   std::vector<uint32_t> reference_out;
+  std::vector<EdgeId> kernel_rows;
+  std::vector<EdgeId> reference_rows;
+  std::vector<EdgeId> searched;
   std::function<void(uint32_t)> recurse = [&](uint32_t depth) {
-    kernel.ComputeExtensions(g, kernel_sub, kernel_ctx, &kernel_out);
+    kernel.ComputeExtensions(g, kernel_sub, kernel_ctx, &kernel_out,
+                             &kernel_rows);
+    kernel.ComputeExtensions(g, kernel_sub, plain_ctx, &plain_out, nullptr);
     reference.ComputeExtensions(g, reference_sub, reference_ctx,
-                                &reference_out);
+                                &reference_out, &reference_rows);
     ASSERT_EQ(kernel_out, reference_out) << "at " << kernel_sub.ToString();
     ASSERT_EQ(kernel_ctx.extension_tests, reference_ctx.extension_tests)
         << "EC diverged at " << kernel_sub.ToString();
+    ASSERT_EQ(kernel_rows, reference_rows)
+        << "edge rows diverged at " << kernel_sub.ToString();
+    ASSERT_EQ(plain_out, kernel_out) << "at " << kernel_sub.ToString();
+    ASSERT_EQ(plain_ctx.extension_tests, kernel_ctx.extension_tests)
+        << "rows changed the EC charge at " << kernel_sub.ToString();
     if (depth == max_depth) return;
-    const std::vector<uint32_t> extensions = kernel_out;  // out is reused
-    for (const uint32_t extension : extensions) {
-      kernel.Apply(g, extension, &kernel_sub);
-      reference.Apply(g, extension, &reference_sub);
+    // out and rows are reused by the recursion.
+    const std::vector<uint32_t> extensions = kernel_out;
+    const std::vector<EdgeId> rows = kernel_rows;
+    const size_t width =
+        extensions.empty() ? 0 : rows.size() / extensions.size();
+    for (size_t i = 0; i < extensions.size(); ++i) {
+      const std::span<const EdgeId> row(rows.data() + i * width, width);
+      kernel.SearchRow(g, kernel_sub, extensions[i], &searched);
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), searched.begin(),
+                             searched.end()))
+          << "SearchRow disagrees with the emitted row at "
+          << kernel_sub.ToString() << " + " << extensions[i];
+      kernel.Apply(g, extensions[i], row, &kernel_sub);
+      reference.Apply(g, extensions[i], {}, &reference_sub);
+      ASSERT_TRUE(kernel_sub == reference_sub)
+          << kernel_sub.ToString() << " vs " << reference_sub.ToString();
       recurse(depth + 1);
       kernel.Undo(g, &kernel_sub);
       reference.Undo(g, &reference_sub);
@@ -349,8 +379,39 @@ class ScanPatternInducedStrategy : public ExtensionStrategy {
       : plan_(plan) {}
 
   void ComputeExtensions(const Graph& graph, const Subgraph& subgraph,
-                         ExtensionContext& ctx,
-                         std::vector<uint32_t>* out) const override {
+                         ExtensionContext& ctx, std::vector<uint32_t>* out,
+                         std::vector<EdgeId>* rows) const override {
+    Scan(graph, subgraph, ctx, out);
+    SearchedRows(*this, graph, subgraph, *out, rows);
+  }
+
+  // Pushes by search: the row it is handed is ignored.
+  void Apply(const Graph& graph, uint32_t extension,
+             std::span<const EdgeId> /*row*/,
+             Subgraph* subgraph) const override {
+    std::vector<EdgeId> row;
+    SearchRow(graph, *subgraph, extension, &row);
+    subgraph->PushVertexWithEdges(extension, row);
+  }
+
+  // One EdgeBetween per required neighbor, in step order.
+  void SearchRow(const Graph& graph, const Subgraph& subgraph,
+                 uint32_t extension,
+                 std::vector<EdgeId>* row) const override {
+    row->clear();
+    const std::vector<uint32_t>& order = plan_.plan_order();
+    const uint32_t step = subgraph.NumVertices();
+    for (uint32_t earlier = 0; earlier < step; ++earlier) {
+      if (plan_.pattern().IsAdjacent(order[step], order[earlier])) {
+        row->push_back(
+            *graph.EdgeBetween(subgraph.VertexAt(earlier), extension));
+      }
+    }
+  }
+
+ private:
+  void Scan(const Graph& graph, const Subgraph& subgraph,
+            ExtensionContext& ctx, std::vector<uint32_t>* out) const {
     out->clear();
     const Pattern& pattern = plan_.pattern();
     const std::vector<uint32_t>& order = plan_.plan_order();
@@ -407,12 +468,6 @@ class ScanPatternInducedStrategy : public ExtensionStrategy {
     }
   }
 
-  void Apply(const Graph& graph, uint32_t extension,
-             Subgraph* subgraph) const override {
-    plan_.Apply(graph, extension, subgraph);
-  }
-
- private:
   const PatternInducedStrategy& plan_;
 };
 

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
+#include <map>
 #include <thread>
 
+#include "apps/queries.h"
 #include "core/context.h"
+#include "enumerate/extension.h"
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
 #include "runtime/cluster.h"
 #include "runtime/codec.h"
+#include "runtime/lineage.h"
 #include "runtime/message_bus.h"
 #include "runtime/telemetry.h"
 #include "runtime/worker.h"
@@ -65,6 +70,163 @@ TEST(CodecTest, StolenWorkRoundTrip) {
   EXPECT_EQ(decoded.extension, 4u);
   EXPECT_EQ(decoded.primitive_index, 2u);
   EXPECT_EQ(decoded.lineage_id, (uint64_t{7} << 32) | 12345u);
+}
+
+// Edge rows never cross the wire: StolenWork's encoding is the same bytes
+// it was before extensions carried rows. Pinned byte for byte, so a change
+// to the format (and to runtime.bytes_shipped per steal) fails here.
+TEST(CodecTest, StolenWorkWireFormatIsPinned) {
+  const Graph g = testgraphs::Complete(5);
+  SubgraphEnumerator::StolenWork work;
+  work.prefix.PushVertexInduced(g, 1);
+  work.prefix.PushVertexInduced(g, 3);
+  work.extension = 4;
+  work.primitive_index = 2;
+  work.lineage_id = 9;
+  const std::vector<uint8_t> expected = {
+      2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0,  // vertex word {1, 3}
+      1, 0, 0, 0, 5, 0, 0, 0,              // edge word {5}
+      2, 0, 0, 0, 1, 0, 1, 1,              // push records
+      4, 0, 0, 0,                          // extension
+      2, 0, 0, 0,                          // primitive index
+      9, 0, 0, 0, 0, 0, 0, 0};             // lineage id
+  EXPECT_EQ(SubgraphCodec::EncodeStolenWork(work), expected);
+}
+
+// The owner pushes a consumed extension with the edge row ComputeExtensions
+// emitted. Stolen work carries no rows, so every thief rebuilds the row by
+// search (ExtensionStrategy::ApplyBySearch): after an internal steal, after
+// an external steal shipped through SubgraphCodec, and when a salvage pass
+// replays a lineage descriptor. All must build the owner's edge word. Walks
+// the strategy's DFS to `depth` pushes, alternately stealing and consuming from
+// each node's enumerator; stolen interior work is stamped into a ledger as
+// claimed by worker 1, whose crash then makes it the replay set.
+void CheckThiefPushesMatchOwner(const Graph& g,
+                                const ExtensionStrategy& strategy,
+                                uint32_t depth) {
+  using Key = std::pair<std::vector<VertexId>, uint32_t>;
+  auto key = [](const Subgraph& prefix, uint32_t extension) {
+    return Key({prefix.Vertices().begin(), prefix.Vertices().end()},
+               extension);
+  };
+  auto edges = [](const Subgraph& s) {
+    return std::vector<EdgeId>(s.Edges().begin(), s.Edges().end());
+  };
+  ExtensionContext ctx;
+  std::vector<uint32_t> roots;
+  strategy.ComputeExtensions(g, Subgraph(), ctx, &roots, nullptr);
+  LineageLedger ledger;
+  ledger.BeginAttempt(roots, /*live_mask=*/0b11, /*threads_per_worker=*/1);
+  std::map<Key, std::vector<EdgeId>> claimed;  // owner edge word per claim
+  uint64_t steals = 0;
+
+  Subgraph subgraph;
+  std::function<void()> walk = [&] {
+    if (subgraph.Depth() == depth) return;
+    std::vector<uint32_t> extensions;
+    std::vector<EdgeId> rows;
+    strategy.ComputeExtensions(g, subgraph, ctx, &extensions, &rows);
+    const size_t width =
+        extensions.empty() ? 0 : rows.size() / extensions.size();
+    SubgraphEnumerator frame;
+    frame.Refill(subgraph, 1, std::vector<uint32_t>(extensions),
+                 std::vector<EdgeId>(rows));
+    for (bool steal = true;; steal = !steal) {
+      if (!steal) {
+        const auto index = frame.ConsumeNext();
+        if (!index) break;
+        strategy.Apply(g, frame.extension(*index), frame.row(*index),
+                       &subgraph);
+        walk();
+        strategy.Undo(g, &subgraph);
+        if (::testing::Test::HasFatalFailure()) return;
+        continue;
+      }
+      SubgraphEnumerator::StolenWork work;
+      if (!frame.TrySteal(&work)) break;
+      ++steals;
+      const size_t i = static_cast<size_t>(
+          std::find(extensions.begin(), extensions.end(), work.extension) -
+          extensions.begin());
+      ASSERT_LT(i, extensions.size());
+      Subgraph owner = subgraph;
+      strategy.Apply(g, work.extension,
+                     std::span<const EdgeId>(rows.data() + i * width, width),
+                     &owner);
+
+      Subgraph internal = work.prefix;
+      strategy.ApplyBySearch(g, work.extension, &internal, ctx.arena);
+      ASSERT_EQ(edges(internal), edges(owner)) << owner.ToString();
+
+      SubgraphEnumerator::StolenWork shipped;
+      ASSERT_TRUE(SubgraphCodec::DecodeStolenWork(
+          SubgraphCodec::EncodeStolenWork(work), &shipped));
+      Subgraph external = shipped.prefix;
+      strategy.ApplyBySearch(g, shipped.extension, &external, ctx.arena);
+      ASSERT_EQ(edges(external), edges(owner)) << owner.ToString();
+
+      if (!work.prefix.Empty()) {
+        ledger.StampClaim(/*victim_worker=*/0, /*thief_worker=*/1, &work);
+        claimed[key(work.prefix, work.extension)] = edges(owner);
+      }
+    }
+    frame.Deactivate();
+  };
+  walk();
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_GT(claimed.size(), 0u);
+
+  // Worker 1 crashes before completing anything: its claims are replayed.
+  const uint32_t replays = ledger.PrepareSalvage(
+      /*crashed_worker=*/1, /*new_live_mask=*/0b01, /*threads_per_worker=*/1);
+  size_t replayed = 0;
+  for (uint32_t r = 0; r < replays; ++r) {
+    const SubgraphEnumerator::StolenWork& work = ledger.replay_root(r);
+    if (work.prefix.Empty()) continue;  // a root owned by worker 1
+    Subgraph replay = work.prefix;
+    strategy.ApplyBySearch(g, work.extension, &replay, ctx.arena);
+    const auto it = claimed.find(key(work.prefix, work.extension));
+    ASSERT_NE(it, claimed.end());
+    EXPECT_EQ(edges(replay), it->second) << replay.ToString();
+    ++replayed;
+  }
+  EXPECT_EQ(replayed, claimed.size());
+  EXPECT_GT(steals, claimed.size());  // root-level steals were checked too
+}
+
+TEST(StealPathTest, ThiefSearchPushMatchesOwnerRowPush) {
+  // Two edge labels: the pattern strategy's rows also carry its label
+  // check.
+  const Graph g = GenerateRandomGraph(28, 140, 1, 2, /*seed=*/41);
+  Pattern diamond;
+  for (int i = 0; i < 4; ++i) diamond.AddVertex(0);
+  diamond.AddEdge(0, 1, 0);
+  diamond.AddEdge(1, 2, 1);
+  diamond.AddEdge(2, 3, 0);
+  diamond.AddEdge(3, 0, 1);
+  diamond.AddEdge(0, 2, 1);
+  {
+    SCOPED_TRACE("vertex-induced");
+    CheckThiefPushesMatchOwner(g, VertexInducedStrategy{}, 3);
+  }
+  {
+    SCOPED_TRACE("kclist");
+    CheckThiefPushesMatchOwner(g, KClistStrategy{}, 3);
+  }
+  {
+    SCOPED_TRACE("edge-induced");
+    CheckThiefPushesMatchOwner(g, EdgeInducedStrategy{}, 2);
+  }
+  for (const auto& [name, pattern] :
+       {std::pair{"q2", SeedQuery(2)}, std::pair{"diamond", diamond}}) {
+    for (const MatchSemantics semantics :
+         {MatchSemantics::kSubgraph, MatchSemantics::kInduced}) {
+      SCOPED_TRACE(std::string(name) +
+                   (semantics == MatchSemantics::kInduced ? " induced" : ""));
+      CheckThiefPushesMatchOwner(
+          g, PatternInducedStrategy(pattern, semantics), 3);
+    }
+  }
 }
 
 TEST(CodecTest, RejectsCorruptedPayloads) {

@@ -65,11 +65,6 @@ EXEMPT_FILES = {
     # deliberately raw std::mutex to avoid self-instrumentation recursion).
     "src/util/lockdep.cc",
     "src/util/lockdep.h",
-    # The pre-kernel A/B reference strategies trade speed for obvious
-    # correctness; they are the differential-testing baseline, not the
-    # production data plane (enabled only via FRACTAL_REFERENCE_EXTENSIONS).
-    "src/enumerate/reference_extension.cc",
-    "src/enumerate/reference_extension.h",
     # Comparison baselines: not the Fractal data plane.
     "src/baselines/",
 }
