@@ -41,9 +41,8 @@
 #   5. Allocation-discipline lint (tools/fractal_lint.py, DESIGN.md §9):
 #      self-test against the seeded-violation fixtures, then the repo run —
 #      every FRACTAL_HOT call graph must be provably allocation-, throw-,
-#      and raw-mutex-free, and every metric/trace name registered. Uses
-#      libclang when the python bindings are installed, its built-in
-#      textual engine otherwise.
+#      and raw-mutex-free, and every metric/trace name registered. The
+#      checker's textual frontend needs only python3.
 #   6. Alloc-guard gate: hot_path_test re-run with FRACTAL_ALLOC_GUARD=abort
 #      — full-cluster runs of the vertex-induced, edge-induced, and KClist
 #      strategies and of motif counting's pattern aggregation abort the
@@ -209,14 +208,11 @@ fi
 echo "=== lint: hot-path allocation discipline (fractal_lint.py) ==="
 if command -v python3 >/dev/null 2>&1; then
   # Self-test first: every seeded-violation fixture must fail its rule.
-  # Then the repo itself must come back clean. --engine=auto upgrades to
-  # libclang (driven by build-ci's compile_commands.json) when the python
-  # bindings are installed; the built-in textual engine gates otherwise.
+  # Then the repo itself must come back clean.
   python3 tools/fractal_lint.py --self-test
-  python3 tools/fractal_lint.py \
-    --compile-commands build-ci/compile_commands.json
-  # The seeded fixtures must also stay compilable (they feed clang-tidy and
-  # the libclang engine through compile_commands.json).
+  python3 tools/fractal_lint.py
+  # The seeded fixtures must also stay compilable (they feed clang-tidy
+  # through compile_commands.json).
   cmake --build build-ci -j "$JOBS" --target fractal_lint_fixtures
 else
   echo "python3 not installed; allocation-discipline lint skipped"
@@ -239,7 +235,7 @@ if command -v clang++ >/dev/null 2>&1; then
     -DCMAKE_CXX_COMPILER=clang++ -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
   cmake --build build-sa -j "$JOBS"
   # Build the lint fixtures too so their compile_commands entries are valid
-  # translation units for clang-tidy and the libclang lint engine.
+  # translation units for clang-tidy.
   cmake --build build-sa -j "$JOBS" --target fractal_lint_fixtures
   if command -v clang-tidy >/dev/null 2>&1; then
     # .clang-tidy sets WarningsAsErrors: '*'; any finding exits non-zero.

@@ -9,8 +9,11 @@
 // --graph expects the adjacency-list format (see graph/graph_io.h);
 // --edgelist expects SNAP-style "u v" lines. Without either, a synthetic
 // demo graph is generated.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,6 +77,23 @@ void Usage() {
       "  crashed worker's unfinished fractoid tasks).\n");
 }
 
+/// Parses a numeric flag value: the whole token must be a base-10 integer
+/// in [min, max]. Anything else exits 2 with a message naming the flag.
+template <typename T>
+T ParseNumber(const char* flag, const char* text, T min, T max) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    std::fprintf(stderr, "invalid value for %s: '%s' (want an integer in "
+                         "[%s, %s])\n",
+                 flag, text, std::to_string(min).c_str(),
+                 std::to_string(max).c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Resolves a --query name to its pattern; false on unknown names.
 bool ParseQueryPattern(const std::string& name, fractal::Pattern* out) {
   using fractal::Pattern;
@@ -108,15 +128,19 @@ int main(int argc, char** argv) {
   std::string fault_spec;
   uint64_t fault_seed = 0;
   int crash_worker = -1;
-  long long crash_after = 100;
+  int64_t crash_after = 100;
   bool dump_metrics = false;
   int concurrency = 0;
-  long long deadline_ms = 0;
+  int64_t deadline_ms = 0;
   uint32_t k = 3, support = 100, max_edges = 3;
   ExecutionConfig config;
   config.num_workers = 1;
   config.threads_per_worker = 2;
 
+  // Intervals and deadlines are capped at one day so the steady-clock
+  // arithmetic downstream cannot overflow.
+  constexpr int64_t kMaxMillis = int64_t{24} * 60 * 60 * 1000;
+  constexpr uint32_t kMaxU32 = std::numeric_limits<uint32_t>::max();
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -125,6 +149,9 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](const char* flag, auto min, auto max) {
+      return ParseNumber<decltype(min)>(flag, next(flag), min, max);
+    };
     if (!std::strcmp(argv[i], "--kernel")) {
       kernel = next("--kernel");
     } else if (!std::strcmp(argv[i], "--graph")) {
@@ -132,17 +159,17 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--edgelist")) {
       edgelist_path = next("--edgelist");
     } else if (!std::strcmp(argv[i], "--k")) {
-      k = std::atoi(next("--k"));
+      k = number("--k", 1u, kMaxU32);
     } else if (!std::strcmp(argv[i], "--support")) {
-      support = std::atoi(next("--support"));
+      support = number("--support", 0u, kMaxU32);
     } else if (!std::strcmp(argv[i], "--max-edges")) {
-      max_edges = std::atoi(next("--max-edges"));
+      max_edges = number("--max-edges", 1u, kMaxU32);
     } else if (!std::strcmp(argv[i], "--query")) {
       query_name = next("--query");
     } else if (!std::strcmp(argv[i], "--workers")) {
-      config.num_workers = std::atoi(next("--workers"));
+      config.num_workers = number("--workers", 1u, 64u);
     } else if (!std::strcmp(argv[i], "--threads")) {
-      config.threads_per_worker = std::atoi(next("--threads"));
+      config.threads_per_worker = number("--threads", 1u, 1024u);
     } else if (!std::strcmp(argv[i], "--no-stealing")) {
       config.internal_work_stealing = false;
       config.external_work_stealing = false;
@@ -157,23 +184,26 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--profile-out")) {
       profile_out = next("--profile-out");
     } else if (!std::strcmp(argv[i], "--profile-hz")) {
-      profile_hz = std::atoi(next("--profile-hz"));
+      profile_hz = number("--profile-hz", 1, obs::Profiler::kMaxHz);
     } else if (!std::strcmp(argv[i], "--statusz-port")) {
-      config.statusz_port = std::atoi(next("--statusz-port"));
+      config.statusz_port = number("--statusz-port", -1, 65535);
     } else if (!std::strcmp(argv[i], "--progress-ms")) {
-      config.progress_interval_ms = std::atoi(next("--progress-ms"));
+      config.progress_interval_ms =
+          number("--progress-ms", int64_t{0}, kMaxMillis);
     } else if (!std::strcmp(argv[i], "--fault-spec")) {
       fault_spec = next("--fault-spec");
     } else if (!std::strcmp(argv[i], "--fault-seed")) {
-      fault_seed = std::strtoull(next("--fault-seed"), nullptr, 10);
+      fault_seed = number("--fault-seed", uint64_t{0},
+                          std::numeric_limits<uint64_t>::max());
     } else if (!std::strcmp(argv[i], "--crash-worker")) {
-      crash_worker = std::atoi(next("--crash-worker"));
+      crash_worker = number("--crash-worker", -1, 63);
     } else if (!std::strcmp(argv[i], "--crash-after")) {
-      crash_after = std::atoll(next("--crash-after"));
+      crash_after = number("--crash-after", int64_t{0},
+                           std::numeric_limits<int64_t>::max());
     } else if (!std::strcmp(argv[i], "--concurrency")) {
-      concurrency = std::atoi(next("--concurrency"));
+      concurrency = number("--concurrency", 0, 1024);
     } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-      deadline_ms = std::atoll(next("--deadline-ms"));
+      deadline_ms = number("--deadline-ms", int64_t{0}, kMaxMillis);
     } else if (!std::strcmp(argv[i], "--retry-mode")) {
       const std::string mode = next("--retry-mode");
       if (mode == "salvage") {

@@ -106,7 +106,8 @@ struct ExecutionConfig {
   bool reuse_cached_aggregations = true;
 
   /// Query control block of this execution (multi-tenant scheduling,
-  /// DESIGN.md §12; not owned, may be null). When set, the executor checks
+  /// DESIGN.md §12; not owned, may be null — the executor then runs the
+  /// execution under its own id-0 control). The executor checks
   /// cancellation/deadline at every step boundary, worker threads poll the
   /// cancel flag once per work unit, and an unwound execution resolves to
   /// kCancelled / kDeadlineExceeded in ExecutionResult::status. Wired

@@ -85,11 +85,10 @@ ExecutionResult ExecuteFractoid(const Fractoid& fractoid,
 ExecutionResult ExecuteFractoidStreaming(const Fractoid& fractoid,
                                          const ExecutionConfig& config,
                                          const SubgraphSink& sink) {
-  const Status config_status = config.Validate();
-  FRACTAL_CHECK(config_status.ok()) << config_status;
-  FRACTAL_TRACE_SPAN("executor/execute");
-
   ExecutionResult result;
+  result.status = config.Validate();
+  if (!result.status.ok()) return result;
+  FRACTAL_TRACE_SPAN("executor/execute");
 
   // Single-execution contract (core/executor.h): fractoids deriving from a
   // common ancestor share one ExecutionState, and a second concurrent
@@ -109,22 +108,23 @@ ExecutionResult ExecuteFractoidStreaming(const Fractoid& fractoid,
   } executing_guard{state.executing};
 
   // Multi-tenant controls (DESIGN.md §12): checked at every step boundary
-  // here, and once per work unit inside the step by the worker threads.
-  QueryControl* const query = config.query;
-  if (query != nullptr) FRACTAL_TRACE_INSTANT("executor/query", query->id);
-  const auto query_status = [query]() -> Status {
-    return query->DeadlineHit()
+  // here, and once per work unit inside the step by the worker threads. An
+  // execution without a caller-owned control runs under its own id-0 one.
+  QueryControl unscheduled;
+  QueryControl& query = config.query != nullptr ? *config.query : unscheduled;
+  FRACTAL_TRACE_INSTANT("executor/query", query.id);
+  const auto query_status = [&query]() -> Status {
+    return query.DeadlineHit()
                ? DeadlineExceededError(StrFormat(
                      "query %llu '%s' exceeded its deadline",
-                     (unsigned long long)query->id, query->name.c_str()))
+                     (unsigned long long)query.id, query.name.c_str()))
                : CancelledError(StrFormat(
                      "query %llu '%s' cancelled",
-                     (unsigned long long)query->id, query->name.c_str()));
+                     (unsigned long long)query.id, query.name.c_str()));
   };
-  const auto query_aborted = [query]() {
-    if (query == nullptr) return false;
-    query->CheckDeadline(std::chrono::steady_clock::now());
-    return query->cancelled();
+  const auto query_aborted = [&query]() {
+    query.CheckDeadline(std::chrono::steady_clock::now());
+    return query.cancelled();
   };
   if (query_aborted()) {
     result.status = query_status();
@@ -266,7 +266,7 @@ ExecutionResult ExecuteFractoidStreaming(const Fractoid& fractoid,
       step_options.num_levels = task->num_levels();
       step_options.fault_injector = injector;
       step_options.lineage = ledger.get();
-      step_options.query = query;
+      step_options.query = &query;
       if (injector != nullptr) injector->SetSalvagePass(salvage_pass);
       step_result = cluster->RunStep(*task, std::move(roots), step_options);
       // Cancellation/deadline outranks everything else about the attempt:

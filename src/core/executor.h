@@ -31,8 +31,10 @@ namespace fractal {
 /// the same fractoid — or two fractoids sharing cached execution state,
 /// i.e. derived from a common ancestor — concurrently is not supported and
 /// returns kFailedPrecondition instead of corrupting the cached step
-/// aggregations. [[nodiscard]]: dropping the result discards the subgraph
-/// counts/aggregations the run computed.
+/// aggregations. A config that fails ExecutionConfig::Validate returns that
+/// status (kInvalidArgument) before any cluster is created. [[nodiscard]]:
+/// dropping the result discards the subgraph counts/aggregations the run
+/// computed.
 ///
 /// This synchronous entry point is the same query-aware engine that backs
 /// ExecuteFractoidAsync: set ExecutionConfig::query to get cooperative

@@ -16,7 +16,7 @@
 //
 // Handles are never invalidated (the registry leaks; metric objects are
 // node-allocated). Well-known runtime counters used by both the worker
-// instrumentation and the step-progress reporter are exposed as accessors
+// instrumentation and the step-progress sampler are exposed as accessors
 // at the bottom so both sides agree on the names — the barrier-aggregated
 // StepTelemetry reports the same quantities per step, these accumulate
 // them process-wide and live (sampleable mid-step).
@@ -279,7 +279,7 @@ struct LocalHistogram {
 /// thread-owned memory. PublishHotMetrics folds them into the registry,
 /// one relaxed RMW per touched counter, and that happens:
 ///   * every kPublishBatch work units (CountWorkUnit), so live readers
-///     (/statusz, /metricsz, the progress reporter) lag by less than
+///     (/statusz, /metricsz, the progress log line) lag by less than
 ///     kPublishBatch units per thread;
 ///   * when an execution thread leaves a step, however it leaves (drain,
 ///     crash unwind, cancellation), and on the driver thread after the

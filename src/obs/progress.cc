@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "util/logging.h"
 
 namespace fractal {
@@ -57,45 +56,19 @@ ProgressSnapshot ProgressSampler::Sample() {
   return snapshot;
 }
 
-StepProgressReporter::StepProgressReporter(int64_t interval_ms,
-                                           WorkerUnitsFn worker_units) {
-  thread_ = std::thread(
-      [this, interval_ms, worker_units = std::move(worker_units)]() mutable {
-        Loop(std::max<int64_t>(1, interval_ms), std::move(worker_units));
-      });
-}
-
-StepProgressReporter::~StepProgressReporter() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-    cv_.NotifyAll();
-  }
-  thread_.join();
-}
-
-void StepProgressReporter::Loop(int64_t interval_ms,
-                                WorkerUnitsFn worker_units) {
-  Profiler::Get().RegisterCurrentThread("obs/progress");
-  ProgressSampler sampler(std::move(worker_units));
-  MutexLock lock(mu_);
-  while (!stop_) {
-    if (cv_.WaitFor(mu_, interval_ms)) continue;  // notified: re-check stop_
-    if (stop_) break;
-    const ProgressSnapshot snapshot = sampler.Sample();
-    // Formatted into a stack buffer and emitted through the allocation-free
-    // LogLine path: the streaming FRACTAL_LOG builds an ostringstream per
-    // statement, which put periodic heap churn on a step-lifetime thread.
-    char line[256];
-    std::snprintf(
-        line, sizeof(line),
-        "step progress: +%" PRIu64 " work units (%" PRIu64 "/s), +%" PRIu64
-        " int steals, +%" PRIu64 " ext steals, +%" PRIu64 " bytes shipped",
-        snapshot.work_units_delta, snapshot.units_per_sec,
-        snapshot.internal_steals_delta, snapshot.external_steals_delta,
-        snapshot.bytes_shipped_delta);
-    FRACTAL_LOG_LINE(Info, line);
-  }
+void LogStepProgress(const ProgressSnapshot& snapshot) {
+  // Formatted into a stack buffer and emitted through the allocation-free
+  // LogLine path: the streaming FRACTAL_LOG builds an ostringstream per
+  // statement, which would put periodic heap churn on the step driver.
+  char line[256];
+  std::snprintf(
+      line, sizeof(line),
+      "step progress: +%" PRIu64 " work units (%" PRIu64 "/s), +%" PRIu64
+      " int steals, +%" PRIu64 " ext steals, +%" PRIu64 " bytes shipped",
+      snapshot.work_units_delta, snapshot.units_per_sec,
+      snapshot.internal_steals_delta, snapshot.external_steals_delta,
+      snapshot.bytes_shipped_delta);
+  FRACTAL_LOG_LINE(Info, line);
 }
 
 }  // namespace obs

@@ -7,23 +7,19 @@
 // mid-step sample trails the true count by less than
 // HotMetrics::kPublishBatch units per execution thread.
 //
-// A StepProgressReporter owns one background thread that drives a sampler
-// every interval and logs the result, so a long fractal step shows signs of
-// life before the barrier-aggregated StepTelemetry exists. Started by
-// Cluster::RunStep when ClusterOptions::progress_interval_ms > 0 (default
-// off); the reporter is scoped to the step — construction spawns the
-// thread, destruction stops and joins it. `StepProgressReporter::mu` is a
-// leaf lock (DESIGN.md §5).
+// While a step is in flight, Cluster::RunStep's barrier wait drives a
+// step-scoped sampler every ClusterOptions::progress_interval_ms (default
+// off) and logs the result with LogStepProgress, so a long fractal step
+// shows signs of life before the barrier-aggregated StepTelemetry exists.
+// The driver thread that waits on the barrier does the sampling, so
+// progress costs no thread of its own.
 #ifndef FRACTAL_OBS_PROGRESS_H_
 #define FRACTAL_OBS_PROGRESS_H_
 
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <vector>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace fractal {
@@ -71,29 +67,8 @@ class ProgressSampler {
   std::vector<uint64_t> worker_units_now_;
 };
 
-class StepProgressReporter {
- public:
-  /// Spawns the sampling thread; logs every `interval_ms` milliseconds.
-  /// `worker_units` (optional) adds per-worker deltas to the gauges and the
-  /// log line.
-  explicit StepProgressReporter(int64_t interval_ms,
-                                WorkerUnitsFn worker_units = nullptr);
-
-  /// Stops and joins the sampling thread. Emits no final report: the step
-  /// barrier's StepTelemetry is the authoritative end-of-step summary.
-  ~StepProgressReporter();
-
-  StepProgressReporter(const StepProgressReporter&) = delete;
-  StepProgressReporter& operator=(const StepProgressReporter&) = delete;
-
- private:
-  void Loop(int64_t interval_ms, WorkerUnitsFn worker_units);
-
-  Mutex mu_{"StepProgressReporter::mu"};
-  CondVar cv_;
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::thread thread_;
-};
+/// Emits the periodic "step progress" log line for one snapshot.
+void LogStepProgress(const ProgressSnapshot& snapshot);
 
 }  // namespace obs
 }  // namespace fractal

@@ -24,12 +24,12 @@ uint64_t FullMask(uint32_t num_workers) {
                            : ((uint64_t{1} << num_workers) - 1);
 }
 
-// Microseconds until the query's deadline, clamped to >= 1 so timed waits
-// always make progress (a non-positive remainder means the deadline check
-// will fire on the next loop iteration anyway).
-int64_t MicrosUntilDeadline(const QueryControl& query) {
+// Microseconds until `when`, clamped to >= 1 so timed waits always make
+// progress (a non-positive remainder means the caller's check will fire on
+// the next loop iteration anyway).
+int64_t MicrosUntil(std::chrono::steady_clock::time_point when) {
   const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-                        query.deadline - std::chrono::steady_clock::now())
+                        when - std::chrono::steady_clock::now())
                         .count();
   return std::max<int64_t>(left, 1);
 }
@@ -61,7 +61,10 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::Create(
   return std::make_unique<Cluster>(options);
 }
 
-Cluster::Cluster(const ClusterOptions& options) : options_(options) {
+Cluster::Cluster(const ClusterOptions& options)
+    : options_(options),
+      statusz_sampler_(
+          [this](std::vector<uint64_t>* out) { SampleWorkerUnits(out); }) {
   const Status status = Validate(options_);
   FRACTAL_CHECK(status.ok()) << status;
   live_mask_.store(FullMask(options_.num_workers), std::memory_order_relaxed);
@@ -79,11 +82,6 @@ Cluster::Cluster(const ClusterOptions& options) : options_(options) {
     auto server = obs::ExpositionServer::Start(server_options);
     if (server.ok()) {
       exposition_ = std::move(server).value();
-      {
-        MutexLock lock(statusz_mu_);
-        statusz_sampler_ = std::make_unique<obs::ProgressSampler>(
-            [this](std::vector<uint64_t>* out) { SampleWorkerUnits(out); });
-      }
       exposition_->AddEndpoint(
           "/statusz", [this](const obs::ExpositionServer::Request&) {
             return obs::ExpositionServer::Response{
@@ -149,13 +147,7 @@ std::string Cluster::RenderStatusz() {
   obs::ProgressSnapshot snapshot;
   {
     MutexLock lock(statusz_mu_);
-    if (statusz_sampler_ == nullptr) {
-      statusz_sampler_ = std::make_unique<obs::ProgressSampler>(
-          [this](std::vector<uint64_t>* out_units) {
-            SampleWorkerUnits(out_units);
-          });
-    }
-    snapshot = statusz_sampler_->Sample();
+    snapshot = statusz_sampler_.Sample();
   }
   out << StrFormat(
       "interval           %.3fs: +%llu work units (%llu/s), +%llu int "
@@ -238,31 +230,25 @@ void Cluster::RemoveGateWaiter(const GateTicket* ticket) {
 
 bool Cluster::AdmitStep(GateTicket& ticket) {
   MutexLock lock(run_mu_);
+  QueryControl& query = ticket.query;
   ticket.seq = gate_seq_++;
-  if (ticket.query != nullptr) {
-    // Start-time fairness: an idle query re-enters at the virtual-time
-    // floor, so banked idleness cannot be spent to starve the others.
-    ticket.query->vtime = std::max(ticket.query->vtime, vtime_floor_);
-    ticket.vtime = ticket.query->vtime;
-  } else {
-    ticket.vtime = vtime_floor_;
-  }
+  // Start-time fairness: an idle query re-enters at the virtual-time floor,
+  // so banked idleness cannot be spent to starve the others.
+  query.vtime = std::max(query.vtime, vtime_floor_);
+  ticket.vtime = query.vtime;
   gate_waiters_.push_back(&ticket);
   while (true) {
-    QueryControl* const query = ticket.query;
-    if (query != nullptr) {
-      query->CheckDeadline(std::chrono::steady_clock::now());
-      if (query->cancelled()) {
-        RemoveGateWaiter(&ticket);
-        // The departed waiter may have been the would-be winner; wake the
-        // rest so admission order is re-evaluated.
-        gate_cv_.NotifyAll();
-        return false;
-      }
+    query.CheckDeadline(std::chrono::steady_clock::now());
+    if (query.cancelled()) {
+      RemoveGateWaiter(&ticket);
+      // The departed waiter may have been the would-be winner; wake the
+      // rest so admission order is re-evaluated.
+      gate_cv_.NotifyAll();
+      return false;
     }
     if (!step_in_flight_ && NextGateWaiter() == &ticket) break;
-    if (query != nullptr && query->has_deadline) {
-      gate_cv_.WaitForMicros(run_mu_, MicrosUntilDeadline(*query));
+    if (query.has_deadline) {
+      gate_cv_.WaitForMicros(run_mu_, MicrosUntil(query.deadline));
     } else {
       gate_cv_.Wait(run_mu_);
     }
@@ -276,20 +262,38 @@ bool Cluster::AdmitStep(GateTicket& ticket) {
 void Cluster::ReleaseStep(GateTicket& ticket, uint64_t work_units) {
   MutexLock lock(run_mu_);
   step_in_flight_ = false;
-  if (ticket.query != nullptr) {
-    QueryControl& query = *ticket.query;
-    query.vtime +=
-        static_cast<double>(work_units) /
-        static_cast<double>(std::max<uint32_t>(query.weight, 1));
-    query.work_units.fetch_add(work_units, std::memory_order_relaxed);
-    query.steps_run.fetch_add(1, std::memory_order_relaxed);
-  }
+  QueryControl& query = ticket.query;
+  query.vtime += static_cast<double>(work_units) /
+                 static_cast<double>(std::max<uint32_t>(query.weight, 1));
+  query.work_units.fetch_add(work_units, std::memory_order_relaxed);
+  query.steps_run.fetch_add(1, std::memory_order_relaxed);
   gate_cv_.NotifyAll();
 }
 
 void Cluster::WakeQueryGate() {
   MutexLock lock(run_mu_);
   gate_cv_.NotifyAll();
+}
+
+bool Cluster::AwaitBarrier(QueryControl& query,
+                           std::chrono::steady_clock::time_point tick) {
+  using Clock = std::chrono::steady_clock;
+  MutexLock lock(mu_);
+  while (threads_remaining_ != 0) {
+    const Clock::time_point now = Clock::now();
+    if (now >= tick) return false;
+    Clock::time_point wake = tick;
+    if (query.has_deadline && !query.cancelled()) {
+      if (query.CheckDeadline(now)) continue;  // latched; await the unwind
+      wake = std::min(wake, query.deadline);
+    }
+    if (wake == Clock::time_point::max()) {
+      done_cv_.Wait(mu_);
+    } else {
+      done_cv_.WaitForMicros(mu_, MicrosUntil(wake));
+    }
+  }
+  return true;
 }
 
 Cluster::StepResult Cluster::RunStep(StepTask& task,
@@ -304,13 +308,13 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   // service thread is blocked on the bus with an empty queue, so the
   // preparation below is race-free (the step_in_flight_ hand-off under
   // run_mu_ orders it after the previous step's teardown).
-  QueryControl* const query = options.query;
-  GateTicket ticket;
-  ticket.query = query;
+  QueryControl& query =
+      options.query != nullptr ? *options.query : anonymous_query_;
+  GateTicket ticket{query};
   if (!AdmitStep(ticket)) {
     // Cancelled (or deadline-expired) while queued: nothing ran, nothing to
     // discard. Telemetry is intentionally empty.
-    FRACTAL_TRACE_INSTANT("cluster/step_cancelled", query->id);
+    FRACTAL_TRACE_INSTANT("cluster/step_cancelled", query.id);
     StepResult aborted;
     aborted.cancelled = true;
     return aborted;
@@ -357,8 +361,7 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   // consult the injector beyond this step's barrier without dangling.
   if (bus_ != nullptr) bus_->SetFaultInjector(options.fault_injector);
   control_.injector = injector;
-  control_.cancel =
-      query != nullptr ? &query->cancel_requested : nullptr;
+  control_.cancel = &query.cancel_requested;
   control_.working.store(live_threads, std::memory_order_relaxed);
   control_.timer.Restart();
 
@@ -370,34 +373,31 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   obs::StepActiveGauge().Set(1);
 
   {
-    // Mid-step progress logging: samples the global obs counters plus the
-    // per-worker unit counters (publishing both as gauges), so it needs no
-    // access to the (thread-owned) per-thread stats. Stopped (and joined)
-    // before the telemetry harvest below.
-    std::optional<obs::StepProgressReporter> progress;
+    // The driver's own barrier wait wakes at the query's deadline and at
+    // each progress tick, so neither needs a thread of its own. A tick
+    // samples the global obs counters plus the per-worker unit counters
+    // (needing no access to the thread-owned per-thread stats) with mu_
+    // released.
+    using Clock = std::chrono::steady_clock;
+    const auto interval =
+        std::chrono::milliseconds(options_.progress_interval_ms);
+    std::optional<obs::ProgressSampler> progress;
+    Clock::time_point tick = Clock::time_point::max();
     if (options_.progress_interval_ms > 0) {
-      progress.emplace(options_.progress_interval_ms,
-                       [this](std::vector<uint64_t>* out) {
-                         SampleWorkerUnits(out);
-                       });
+      progress.emplace(
+          [this](std::vector<uint64_t>* out) { SampleWorkerUnits(out); });
+      tick = Clock::now() + interval;
     }
     FRACTAL_TRACE_SPAN_V("cluster/step_barrier", live_threads);
-    MutexLock lock(mu_);
-    threads_remaining_ = live_threads;
-    ++step_generation_;
-    work_cv_.NotifyAll();
-    // Deadline-aware barrier wait: no watchdog thread — the driver itself
-    // wakes at the deadline, latches the cancel flag, and the workers
-    // unwind cooperatively within one work unit each.
-    while (threads_remaining_ != 0) {
-      if (query != nullptr && query->has_deadline && !query->cancelled()) {
-        if (query->CheckDeadline(std::chrono::steady_clock::now())) {
-          continue;  // flag latched; now wait for the unwind
-        }
-        done_cv_.WaitForMicros(mu_, MicrosUntilDeadline(*query));
-      } else {
-        done_cv_.Wait(mu_);
-      }
+    {
+      MutexLock lock(mu_);
+      threads_remaining_ = live_threads;
+      ++step_generation_;
+      work_cv_.NotifyAll();
+    }
+    while (!AwaitBarrier(query, tick)) {
+      obs::LogStepProgress(progress->Sample());
+      tick = Clock::now() + interval;
     }
   }
   obs::StepActiveGauge().Set(0);
@@ -449,14 +449,11 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
   // next waiter. A cancelled step is still charged: its partial units were
   // real cluster time.
   ReleaseStep(ticket, result.telemetry.TotalWorkUnits());
-  if (query != nullptr) {
-    obs::QueryUnitsGauge(query->id)
-        .Set(static_cast<int64_t>(
-            query->work_units.load(std::memory_order_relaxed)));
-    if (query->cancelled()) {
-      result.cancelled = true;
-      FRACTAL_TRACE_INSTANT("cluster/step_cancelled", query->id);
-    }
+  obs::QueryUnitsGauge(query.id).Set(
+      static_cast<int64_t>(query.work_units.load(std::memory_order_relaxed)));
+  if (query.cancelled()) {
+    result.cancelled = true;
+    FRACTAL_TRACE_INSTANT("cluster/step_cancelled", query.id);
   }
   return result;
 }

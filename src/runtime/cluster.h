@@ -18,12 +18,14 @@
 // ExecutionConfig::cluster). Step submissions are admitted one at a time
 // through a weighted-fair gate (DESIGN.md §12): concurrent executions
 // interleave at step granularity, ordered by start-time-fair virtual time
-// of their QueryControl (runtime/query.h). Queries without a control block
-// are admitted FIFO at the gate's virtual-time floor.
+// of their QueryControl (runtime/query.h). Steps submitted without a control
+// block run under the cluster's own id-0 control and are ranked like any
+// other tenant.
 #ifndef FRACTAL_RUNTIME_CLUSTER_H_
 #define FRACTAL_RUNTIME_CLUSTER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -65,9 +67,9 @@ struct ClusterOptions {
   /// and retry/backoff policy.
   NetworkConfig network;
 
-  /// When > 0, RunStep runs a StepProgressReporter that logs work-unit
-  /// throughput and steal rates every `progress_interval_ms` while the step
-  /// is in flight (obs/progress.h).
+  /// When > 0, RunStep's barrier wait samples and logs work-unit throughput
+  /// and steal rates every `progress_interval_ms` while the step is in
+  /// flight (obs/progress.h).
   int64_t progress_interval_ms = 0;
 
   /// When >= 0, the cluster starts an embedded exposition server
@@ -116,8 +118,9 @@ class Cluster {
     /// Query this step belongs to (multi-tenant scheduling, DESIGN.md §12):
     /// drives fair admission ordering, cooperative cancellation (workers
     /// poll its cancel flag once per work unit) and the deadline-aware
-    /// barrier wait. Null runs the step as an anonymous query (FIFO
-    /// admission, no cancellation). Must outlive the RunStep call.
+    /// barrier wait. Null runs the step under the cluster's own id-0
+    /// control, which nothing outside the cluster can cancel; it accrues
+    /// virtual time like any tenant. Must outlive the RunStep call.
     QueryControl* query = nullptr;
   };
 
@@ -244,9 +247,9 @@ class Cluster {
   /// One waiter at the admission gate. Lives on the RunStep caller's stack;
   /// registered in gate_waiters_ while waiting.
   struct GateTicket {
-    QueryControl* query = nullptr;  // null: anonymous (FIFO at the floor)
-    uint64_t seq = 0;               // arrival order, tie-break
-    double vtime = 0.0;             // admission key (snapshot under run_mu_)
+    QueryControl& query;
+    uint64_t seq = 0;    // arrival order, tie-break
+    double vtime = 0.0;  // admission key (snapshot under run_mu_)
   };
 
   /// Blocks until this ticket wins the gate (weighted fair order) and no
@@ -261,6 +264,13 @@ class Cluster {
   /// Next waiter in admission order: smallest virtual time, FIFO on ties.
   const GateTicket* NextGateWaiter() const REQUIRES(run_mu_);
   void RemoveGateWaiter(const GateTicket* ticket) REQUIRES(run_mu_);
+  /// Barrier wait of the submitting thread: returns true once every live
+  /// thread has finished the step, false at `tick` (the next progress
+  /// sample) if threads are still running. Wakes at the query's deadline
+  /// on the way and latches its cancel flag, so the workers unwind.
+  bool AwaitBarrier(QueryControl& query,
+                    std::chrono::steady_clock::time_point tick)
+      EXCLUDES(mu_);
 
   ClusterOptions options_;
   std::unique_ptr<MessageBus> bus_;  // null unless external stealing
@@ -274,8 +284,7 @@ class Cluster {
   /// may hit /statusz concurrently with a direct RenderStatusz call.
   /// statusz_mu_ sits above the scheduler/query-handle locks in the §5
   /// hierarchy (registered sections run under it) but below nothing else.
-  std::unique_ptr<obs::ProgressSampler> statusz_sampler_
-      GUARDED_BY(statusz_mu_);
+  obs::ProgressSampler statusz_sampler_ GUARDED_BY(statusz_mu_);
   /// Extra /statusz sections keyed by registration token (AddStatuszSection).
   std::map<uint64_t, std::function<std::string()>> statusz_sections_
       GUARDED_BY(statusz_mu_);
@@ -321,6 +330,9 @@ class Cluster {
   /// step's teardown before the next one's setup.
   StepState step_;
   StepControl control_;
+  /// Control of steps submitted with a null StepOptions::query. Private:
+  /// nothing outside the cluster can cancel it or give it a deadline.
+  QueryControl anonymous_query_;
 };
 
 }  // namespace fractal

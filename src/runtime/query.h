@@ -25,8 +25,9 @@ namespace fractal {
 /// QueryScheduler is in play, or a caller's stack frame for a synchronous
 /// execution that just wants a deadline/cancel knob (ExecutionConfig::query).
 struct QueryControl {
-  /// Stable id for metrics/statusz/trace attribution. 0 is reserved for
-  /// "anonymous" (no query attached).
+  /// Stable id for metrics/statusz/trace attribution. 0 is the id of the
+  /// controls that unscheduled executions and direct RunStep calls run
+  /// under (the executor's stack-local one, the cluster's own one).
   uint64_t id = 0;
   std::string name;
 

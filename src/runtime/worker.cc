@@ -150,7 +150,7 @@ FRACTAL_HOT void Worker::RunStepOnThread(ThreadContext& t) {
   // rescans starve the threads that still hold work.
   const bool external_enabled = cluster_->bus_ != nullptr;
   FaultInjector* injector = control.injector;
-  const std::atomic<bool>* cancel = control.cancel;
+  const std::atomic<bool>& cancel = *control.cancel;
   const int64_t max_backoff_micros =
       std::max<int64_t>(400, 100 * live_threads);
   int64_t backoff_micros = 50;
@@ -165,7 +165,7 @@ FRACTAL_HOT void Worker::RunStepOnThread(ThreadContext& t) {
     if (injector != nullptr && injector->crashed_mask() != 0) break;
     // Cancellation containment mirrors crash containment: the step's
     // output is doomed, so idle threads stop stealing more of it.
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) break;
+    if (cancel.load(std::memory_order_relaxed)) break;
     if (control.working.load(std::memory_order_acquire) == 0) break;
     control.working.fetch_add(1, std::memory_order_acq_rel);
     bool got = false;

@@ -51,11 +51,13 @@ struct StepControl {
   /// bump and the barrier, strictly inside RunStep (the bus keeps a
   /// shared_ptr for its unbounded service-thread tail).
   FaultInjector* injector = nullptr;
-  /// Cancel flag of the step's query (QueryControl::cancel_requested), or
-  /// null when the step runs without a query. Polled once per work unit —
-  /// one relaxed load, the same hot-path budget as the injector check.
-  /// Same lifetime argument as `injector`: only touched strictly inside
-  /// RunStep, whose caller owns the QueryControl.
+  /// Cancel flag of the step's query (QueryControl::cancel_requested). Set
+  /// by RunStep for every step — a step submitted without a query gets the
+  /// cluster's own control — so it is never null while a step runs.
+  /// Polled once per work unit: one relaxed load, the same hot-path budget
+  /// as the injector check. Same lifetime argument as `injector`: only
+  /// touched strictly inside RunStep, whose caller (or the cluster) owns
+  /// the QueryControl.
   const std::atomic<bool>* cancel = nullptr;
   WallTimer timer;  // restarted at step start; telemetry timestamps
 };
@@ -116,10 +118,7 @@ struct ThreadContext {
     // Cooperative cancellation (DESIGN.md §12): a false return unwinds the
     // enumeration exactly like a crash — frames deactivate on the way out
     // and the thread reaches the step barrier within one work unit.
-    const std::atomic<bool>* cancel = control->cancel;
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      return false;
-    }
+    if (control->cancel->load(std::memory_order_relaxed)) return false;
     FaultInjector* injector = control->injector;
     if (injector == nullptr) return true;
     return injector->OnWorkUnit(worker_id);

@@ -10,6 +10,7 @@
 #include "core/step.h"
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
+#include "obs/metrics.h"
 #include "pattern/canonical.h"
 #include "pattern/pattern.h"
 #include "runtime/cluster.h"
@@ -304,6 +305,45 @@ TEST(ExecutionConfigTest, ValidateCatchesBadShapes) {
   ExecutionConfig zero_attempts;
   zero_attempts.retry.max_attempts = 0;
   EXPECT_FALSE(zero_attempts.Validate().ok());
+}
+
+TEST(ExecutionConfigTest, InvalidShapeReturnsStatusWithoutACluster) {
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(testgraphs::Complete(4));
+  ExecutionConfig zero_workers;
+  zero_workers.num_workers = 0;
+  ExecutionConfig too_many_workers;
+  too_many_workers.num_workers = 65;
+  ExecutionConfig zero_threads;
+  zero_threads.threads_per_worker = 0;
+  const uint64_t steps_before = obs::StepsCounter().Value();
+  for (const ExecutionConfig& config :
+       {zero_workers, too_many_workers, zero_threads}) {
+    // Each shape would CHECK-fail in the Cluster constructor, so returning
+    // at all shows no cluster was built.
+    const ExecutionResult result =
+        ExecuteFractoid(graph.VFractoid().Expand(2), config);
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+        << result.status;
+    EXPECT_EQ(result.steps_executed, 0u);
+  }
+  EXPECT_EQ(obs::StepsCounter().Value(), steps_before);
+}
+
+TEST(ExecutorTest, UnscheduledExecutionPublishesItsUnitsAsQueryZero) {
+  const Graph g = GenerateRandomGraph(20, 60, 1, 1, 5);
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  ExecutionConfig config;
+  config.num_workers = 1;
+  config.threads_per_worker = 2;
+  obs::QueryUnitsGauge(0).Set(0);
+  const ExecutionResult result = graph.VFractoid().Expand(3).Execute(config);
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  ASSERT_EQ(result.telemetry.steps.size(), 1u);
+  const uint64_t units = result.telemetry.steps[0].TotalWorkUnits();
+  EXPECT_GT(units, 0u);
+  EXPECT_EQ(obs::QueryUnitsGauge(0).Value(), static_cast<int64_t>(units));
 }
 
 TEST(ExecutionConfigTest, ValidateChecksCrashWorkerAgainstInjectedCluster) {

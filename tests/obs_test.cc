@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs/): trace ring buffers, the
-// Chrome trace_event exporter, the metrics registry, and the step-progress
-// reporter. The exporter test runs a real 2x2 cluster execution with
+// Chrome trace_event exporter, the metrics registry, and step-progress
+// sampling. The exporter test runs a real 2x2 cluster execution with
 // external stealing so the trace carries spans from every runtime layer —
 // that same execution doubles as a concurrency test under TSan.
 #include <gtest/gtest.h>
@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -362,14 +364,14 @@ TEST(MetricsTest, DumpsContainRecordedMetrics) {
   EXPECT_NE(json.find("\"4\":1"), std::string::npos);
 }
 
-// --- Step-progress reporter ------------------------------------------------
+// --- Step progress ---------------------------------------------------------
 
 TEST(ProgressTest, SamplerSeesWorkerDeltasBeforeTheBarrier) {
   // Two workers of one thread each, every thread holding more than four
   // publish batches of roots: a live sampler must see each worker's units
   // arrive batch by batch while the step runs, not all at the barrier. The
   // sleepy filter stretches the step so samples land mid-step; the step's
-  // own progress reporter runs alongside and must stop cleanly.
+  // own progress ticks sample alongside without disturbing this sampler.
   constexpr uint32_t kWorkers = 2;
   constexpr uint32_t kRootsPerThread =
       4 * obs::HotMetrics::kPublishBatch + 512;
@@ -417,6 +419,62 @@ TEST(ProgressTest, SamplerSeesWorkerDeltasBeforeTheBarrier) {
     // leaves the step is one, so any more come from mid-step batches.
     EXPECT_GE(live_samples[w], 2u) << "worker " << w;
   }
+}
+
+size_t ProcessThreadCount() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
+
+TEST(ProgressTest, BarrierWaitTicksWithoutAReporterThread) {
+  // The step's progress log is driven by the submitting thread's barrier
+  // wait: the step runs on exactly the threads that existed before it, and
+  // the units-per-second gauge moves mid-step although nothing but the
+  // step itself samples it.
+  ClusterOptions options;
+  options.num_workers = 1;
+  options.threads_per_worker = 2;
+  options.progress_interval_ms = 5;
+  Cluster cluster(options);
+  FractalContext fctx;
+  // Several publish batches per thread, so several ticks see units move.
+  constexpr uint32_t kSubgraphs = 8 * obs::HotMetrics::kPublishBatch;
+  const FractalGraph graph = fctx.FromGraph(testgraphs::Path(kSubgraphs));
+  LocalFilterFn sleepy = [](const Subgraph&, Computation&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    return true;
+  };
+  ExecutionConfig config;
+  config.cluster = &cluster;
+  obs::UnitsPerSecGauge().Set(0);
+
+  std::atomic<bool> done{false};
+  size_t min_threads = SIZE_MAX;
+  size_t max_threads = 0;
+  bool units_per_sec_moved = false;
+  std::thread monitor([&] {
+    while (!done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (obs::StepActiveGauge().Value() != 1) continue;
+      const size_t threads = ProcessThreadCount();
+      min_threads = std::min(min_threads, threads);
+      max_threads = std::max(max_threads, threads);
+      if (obs::UnitsPerSecGauge().Value() > 0) units_per_sec_moved = true;
+    }
+  });
+  // Counted with the monitor running: it and the test thread are the only
+  // threads outside the cluster.
+  const size_t threads_before = ProcessThreadCount();
+  const uint64_t count =
+      graph.VFractoid().Expand(1).Filter(sleepy).CountSubgraphs(config);
+  done.store(true);
+  monitor.join();
+  EXPECT_EQ(count, kSubgraphs);
+  ASSERT_GT(max_threads, 0u) << "the monitor never saw the step in flight";
+  EXPECT_EQ(min_threads, threads_before);
+  EXPECT_EQ(max_threads, threads_before);
+  EXPECT_TRUE(units_per_sec_moved);
 }
 
 TEST(ProgressTest, CondVarWaitForTimesOut) {

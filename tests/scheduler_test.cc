@@ -318,6 +318,67 @@ TEST(AsyncExecutorTest, TwoQueriesOverlapOnSharedCluster) {
   EXPECT_EQ(hb->control().steps_run.load(), 4u);
 }
 
+/// Direct RunStep work: one work unit per root, no enumeration.
+class UnitPerRootTask : public StepTask {
+ public:
+  void DrainRoots(ThreadContext& t, std::vector<uint32_t> roots) override {
+    for (size_t i = 0; i < roots.size(); ++i) {
+      if (!t.ConsumeWorkUnit()) return;
+    }
+  }
+  void ProcessStolen(ThreadContext&,
+                     const SubgraphEnumerator::StolenWork&) override {}
+  void FinishThread(ThreadContext&) override {}
+};
+
+TEST(AsyncExecutorTest, DirectRunStepsShareTheGateWithScheduledQueries) {
+  const Graph g = GenerateRandomGraph(60, 220, 1, 1, 17);
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  ExecutionConfig serial;
+  serial.num_workers = 1;
+  serial.threads_per_worker = 4;
+  const ExecutionResult expected =
+      MultiStepFractoid(graph, 2, 0).Execute(serial);
+  ASSERT_TRUE(expected.status.ok()) << expected.status;
+
+  Cluster cluster(SharedClusterOptions(/*workers=*/1, /*threads=*/4));
+  QueryScheduler scheduler(&cluster, {.max_active = 2});
+  Fractoid a = MultiStepFractoid(graph, 2, 50);
+  Fractoid b = MultiStepFractoid(graph, 2, 50);
+  ExecutionConfig config;
+  auto ha = ExecuteFractoidAsync(a, config, scheduler, {.name = "alpha"});
+  auto hb = ExecuteFractoidAsync(b, config, scheduler, {.name = "beta"});
+  ASSERT_TRUE(ha.ok() && hb.ok());
+
+  // Steps submitted with no QueryControl run under the cluster's own one
+  // and pass the same admission gate as the scheduled queries' steps.
+  UnitPerRootTask task;
+  Cluster::StepOptions step_options;
+  step_options.num_levels = 1;
+  const std::vector<uint32_t> roots(64, 0);
+  for (int step = 0; step < 20; ++step) {
+    const Cluster::StepResult result =
+        cluster.RunStep(task, roots, step_options);
+    EXPECT_FALSE(result.cancelled);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.telemetry.TotalWorkUnits(), roots.size());
+  }
+
+  for (QueryHandle* handle : {&*ha, &*hb}) {
+    const ExecutionResult& result = handle->Wait();
+    ASSERT_TRUE(result.status.ok()) << handle->name() << ": " << result.status;
+    EXPECT_EQ(result.num_subgraphs, expected.num_subgraphs);
+    // Every unit of the query's own steps, and none of the direct steps'.
+    uint64_t units = 0;
+    for (const StepTelemetry& step : result.telemetry.steps) {
+      units += step.TotalWorkUnits();
+    }
+    EXPECT_GT(units, 0u);
+    EXPECT_EQ(handle->control().work_units.load(), units) << handle->name();
+  }
+}
+
 TEST(AsyncExecutorTest, CancellationMidStepUnwindsAndClusterStaysUsable) {
   const Graph g = GenerateRandomGraph(60, 220, 1, 1, 23);
   FractalContext fctx;

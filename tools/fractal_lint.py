@@ -32,12 +32,10 @@ plus two repo-hygiene rules checked everywhere (not just on hot paths):
 an audited cold branch; `AllocGuard::Allow` scopes count the same way, and
 `static` local initializers are treated as one-time cold setup.
 
-Engines: with the libclang python bindings installed the checker parses real
-ASTs driven by compile_commands.json (--engine=clang); without them it falls
-back to a self-contained textual frontend (--engine=text) that understands
-the repo's annotation conventions. --engine=auto (default) picks clang when
-available. Both engines share the rule logic; CI gates on whichever engine
-the host can run, like the clang-tidy stage.
+Frontend: a self-contained textual parser that understands the repo's
+annotation conventions (declaration and constructor-call rewriting, lambdas,
+static initializers, destructors). It needs nothing beyond python3, so the
+same checker gates on every host.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 
@@ -47,7 +45,6 @@ verifies every `// LINT-EXPECT: <rule>` marker fires and every
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -777,107 +774,6 @@ def parse_registry(raw):
 
 
 # --------------------------------------------------------------------------
-# libclang engine (preferred when available)
-# --------------------------------------------------------------------------
-
-def try_clang_functions(root, files, compile_commands, verbose):
-    """Builds the FunctionDef list from real ASTs via clang.cindex. Returns
-    None when libclang is unavailable or fails, in which case the textual
-    frontend is used. Downstream rule logic is shared either way."""
-    try:
-        from clang import cindex  # noqa: F401
-    except Exception:
-        return None
-    try:
-        index = cindex.Index.create()
-    except Exception as err:
-        if verbose:
-            print("fractal_lint: libclang unusable (%s); using textual "
-                  "engine" % err, file=sys.stderr)
-        return None
-    args_by_file = {}
-    if compile_commands and os.path.exists(compile_commands):
-        try:
-            with open(compile_commands, encoding="utf-8") as fh:
-                for entry in json.load(fh):
-                    rel = os.path.relpath(entry["file"], root)
-                    raw_args = entry.get("arguments")
-                    if raw_args is None:
-                        raw_args = entry.get("command", "").split()
-                    args = [a for a in raw_args[1:]
-                            if not a.endswith(".o") and a not in
-                            ("-c", "-o") and not a.endswith(".cc")]
-                    args_by_file[rel] = args
-        except (OSError, ValueError, KeyError):
-            pass
-
-    functions = []
-    kinds = (cindex.CursorKind.FUNCTION_DECL, cindex.CursorKind.CXX_METHOD,
-             cindex.CursorKind.CONSTRUCTOR, cindex.CursorKind.DESTRUCTOR,
-             cindex.CursorKind.FUNCTION_TEMPLATE)
-    for rel in files:
-        if is_exempt(rel) or not rel.endswith(".cc"):
-            continue
-        path = os.path.join(root, rel)
-        args = args_by_file.get(rel, ["-std=c++20",
-                                      "-I" + os.path.join(root, "src")])
-        try:
-            tu = index.parse(path, args=args)
-        except Exception:
-            return None
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            code = blank_preprocessor_lines(
-                strip_comments_and_strings(fh.read()))
-
-        def visit(cursor):
-            for child in cursor.get_children():
-                if (child.kind in kinds and child.is_definition()
-                        and child.location.file is not None
-                        and os.path.samefile(str(child.location.file), path)):
-                    ext = child.extent
-                    start = offset_of(code, ext.start.line, ext.start.column)
-                    end = offset_of(code, ext.end.line, ext.end.column)
-                    chunk = code[start:end]
-                    brace = chunk.find("{")
-                    if brace < 0:
-                        continue
-                    header = chunk[:brace].strip()
-                    hot = any(a.spelling == "fractal_hot"
-                              for a in annotations(child))
-                    if hot and "FRACTAL_HOT" not in header:
-                        header = "FRACTAL_HOT " + header
-                    functions.append(FunctionDef(
-                        rel, child.spelling, qualname_of(child), header,
-                        chunk[brace + 1:chunk.rfind("}")], start + brace,
-                        code))
-                visit(child)
-
-        def annotations(cursor):
-            return [c for c in cursor.get_children()
-                    if c.kind == cindex.CursorKind.ANNOTATE_ATTR]
-
-        visit(tu.cursor)
-    if verbose:
-        print("fractal_lint: clang engine parsed %d function definitions"
-              % len(functions), file=sys.stderr)
-    return functions
-
-
-def qualname_of(cursor):
-    parts = []
-    c = cursor
-    while c is not None and c.spelling:
-        parts.append(c.spelling)
-        c = c.semantic_parent
-    return "::".join(reversed(parts[:2]))
-
-
-def offset_of(code, line, column):
-    lines = code.split("\n")
-    return sum(len(l) + 1 for l in lines[:line - 1]) + column - 1
-
-
-# --------------------------------------------------------------------------
 # Drivers
 # --------------------------------------------------------------------------
 
@@ -902,25 +798,6 @@ def run_repo(args):
               file=sys.stderr)
         return 2
     repo = Repo(root, files, verbose=args.verbose)
-    engine = "text"
-    if args.engine in ("auto", "clang"):
-        clang_functions = try_clang_functions(root, files,
-                                              args.compile_commands,
-                                              args.verbose)
-        if clang_functions is not None:
-            # Headers are still modeled textually (libclang sees them only
-            # through includes); .cc bodies come from the AST.
-            header_functions = [f for f in repo.functions
-                                if f.path.endswith(".h")]
-            repo.functions = header_functions + clang_functions
-            repo.defs_by_name = {}
-            for f in repo.functions:
-                repo.defs_by_name.setdefault(f.name, []).append(f)
-            engine = "clang"
-        elif args.engine == "clang":
-            print("fractal_lint: --engine=clang requested but libclang "
-                  "python bindings are unavailable", file=sys.stderr)
-            return 2
     if args.list_roots:
         for f in sorted(repo.hot_roots(), key=lambda f: (f.path, f.line())):
             print("%s:%d: %s" % (f.path, f.line(), f.qualname))
@@ -930,9 +807,9 @@ def run_repo(args):
         repo.explain(args.explain)
     for f in findings:
         print(f)
-    summary = ("fractal_lint[%s]: %d finding(s) across %d file(s), "
+    summary = ("fractal_lint: %d finding(s) across %d file(s), "
                "%d hot root(s)"
-               % (engine, len(findings), len(files), len(repo.hot_roots())))
+               % (len(findings), len(files), len(repo.hot_roots())))
     print(summary, file=sys.stderr)
     return 1 if findings else 0
 
@@ -997,12 +874,6 @@ def main(argv):
         description="hot-path allocation-discipline checker (DESIGN.md §9)")
     parser.add_argument("--repo", default=default_repo_root(),
                         help="repository root (default: the script's repo)")
-    parser.add_argument("--compile-commands",
-                        default=None,
-                        help="compile_commands.json for the clang engine "
-                             "(default: <repo>/build/compile_commands.json)")
-    parser.add_argument("--engine", choices=("auto", "text", "clang"),
-                        default="auto")
     parser.add_argument("--self-test", action="store_true",
                         help="check the seeded fixtures under "
                              "tools/lint_fixtures/")
@@ -1013,9 +884,6 @@ def main(argv):
                              "walked functions whose name contains NAME")
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
-    if args.compile_commands is None:
-        args.compile_commands = os.path.join(args.repo, "build",
-                                             "compile_commands.json")
     if args.self_test:
         return run_self_test(args)
     return run_repo(args)
