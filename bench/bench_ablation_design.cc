@@ -36,13 +36,17 @@ int main(int argc, char** argv) {
     // Same aggregation but the key function canonicalizes from scratch.
     WallTimer uncached_timer;
     auto uncached_result =
-        AggregateMotifs(graph.VFractoid().Expand(4), "motifs",
-                        [](const Subgraph& s, Computation& comp) {
-                          AllocGuard::Allow allow(
-                              "ablation: uncached canonicalization");
-                          return CanonicalForm(s.QuickPattern(comp.graph()))
-                              .pattern;
-                        })
+        graph.VFractoid()
+            .Expand(4)
+            .Aggregate<Pattern, uint64_t, PatternHash>(
+                "motifs",
+                [](const Subgraph& s, Computation& comp) {
+                  AllocGuard::Allow allow(
+                      "ablation: uncached canonicalization");
+                  return CanonicalForm(s.QuickPattern(comp.graph())).pattern;
+                },
+                [](const Subgraph&, Computation&) -> uint64_t { return 1; },
+                [](uint64_t& into, uint64_t&& from) { into += from; })
             .Execute(config);
     const double uncached_seconds = uncached_timer.ElapsedSeconds();
     const auto& storage =

@@ -73,9 +73,10 @@ cd "$(dirname "$0")"
 JOBS="${JOBS:-$(nproc)}"
 # Every suite that spawns threads (directly or through the Cluster runtime),
 # plus property_test so the kernel-vs-reference differential sweeps over the
-# extension data plane run under ASan/UBSan and TSan on every PR.
-SANITIZED_SUITES='core_test|runtime_test|obs_test|metrics_publish_test|introspection_test|profiler_test|lockdep_test|enumerate_test|property_test|apps_test|extras_test|resilience_test|alloc_guard_test|hot_path_test|scheduler_test'
-SANITIZED_TARGETS='core_test runtime_test obs_test metrics_publish_test introspection_test profiler_test lockdep_test enumerate_test property_test apps_test extras_test resilience_test alloc_guard_test hot_path_test scheduler_test'
+# extension data plane run under ASan/UBSan and TSan on every PR, and
+# pattern_test for the canonical cache's open-addressing code table.
+SANITIZED_SUITES='core_test|runtime_test|obs_test|metrics_publish_test|introspection_test|profiler_test|lockdep_test|enumerate_test|property_test|pattern_test|apps_test|extras_test|resilience_test|alloc_guard_test|hot_path_test|scheduler_test'
+SANITIZED_TARGETS='core_test runtime_test obs_test metrics_publish_test introspection_test profiler_test lockdep_test enumerate_test property_test pattern_test apps_test extras_test resilience_test alloc_guard_test hot_path_test scheduler_test'
 # Chaos seeds for the fault-injection sweep: a wide sweep on the fast
 # Release build, a narrower one under the (10-20x slower) sanitizers.
 CHAOS_SEEDS="${CHAOS_SEEDS:-32}"

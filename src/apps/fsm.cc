@@ -62,18 +62,14 @@ namespace {
 /// has-enough-support post-filter) to a fractoid.
 Fractoid WithSupportAggregation(const Fractoid& fractoid,
                                 uint32_t min_support) {
-  return fractoid.Aggregate<Pattern, DomainSupport, PatternHash>(
+  return fractoid.AggregateByPattern<DomainSupport>(
       "support",
-      /*key_fn=*/
-      [](const Subgraph& subgraph, Computation& comp) {
-        return comp.CanonicalPattern(subgraph).pattern;
-      },
       // DomainSupport owns hash sets by design: building one per embedding
       // and folding it in allocate, so both callbacks are audited escapes
-      // from the step's AllocGuard (the key path above stays guarded).
+      // from the step's AllocGuard (the canonicalization stays guarded).
       /*value_fn=*/
-      [min_support](const Subgraph& subgraph, Computation& comp) {
-        const CanonicalResult& canonical = comp.CanonicalPattern(subgraph);
+      [min_support](const Subgraph& subgraph, const CanonicalResult& canonical,
+                    Computation&) {
         AllocGuard::Allow allow("FSM per-embedding DomainSupport");
         DomainSupport support(min_support);
         support.AddEmbedding(subgraph, canonical);

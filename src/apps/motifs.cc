@@ -6,15 +6,13 @@
 
 namespace fractal {
 
-Pattern CanonicalPatternKey(const Subgraph& subgraph, Computation& comp) {
-  return comp.CanonicalPattern(subgraph).pattern;
-}
-
-Fractoid AggregateMotifs(const Fractoid& fractoid, const std::string& name,
-                         MotifCountStorage::KeyFn key_fn) {
-  return fractoid.Aggregate<Pattern, uint64_t, PatternHash>(
-      name, std::move(key_fn),
-      /*value_fn=*/[](const Subgraph&, Computation&) -> uint64_t { return 1; },
+Fractoid AggregateMotifs(const Fractoid& fractoid, const std::string& name) {
+  return fractoid.AggregateByPattern<uint64_t>(
+      name,
+      /*value_fn=*/
+      [](const Subgraph&, const CanonicalResult&, Computation&) -> uint64_t {
+        return 1;
+      },
       /*reduce_fn=*/[](uint64_t& into, uint64_t&& from) { into += from; });
 }
 

@@ -8,14 +8,10 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/aggregation.h"
 #include "core/context.h"
 #include "pattern/pattern.h"
 
 namespace fractal {
-
-/// Storage of the motif aggregation: canonical pattern -> occurrences.
-using MotifCountStorage = AggregationStorage<Pattern, uint64_t, PatternHash>;
 
 struct MotifsResult {
   /// canonical pattern -> number of vertex-induced occurrences
@@ -25,17 +21,11 @@ struct MotifsResult {
   ExecutionResult execution;
 };
 
-/// The motif aggregation key: the subgraph's canonical pattern, memoized by
-/// quick pattern in the thread's Computation. Allocation-free once the
-/// thread has seen the quick pattern.
-Pattern CanonicalPatternKey(const Subgraph& subgraph, Computation& comp);
-
-/// Appends Listing 1's aggregation — key -> 1, summed — to `fractoid` under
-/// `name`. `key_fn` defaults to CanonicalPatternKey; the design ablation
-/// passes an uncached canonicalization instead.
-Fractoid AggregateMotifs(
-    const Fractoid& fractoid, const std::string& name = "motifs",
-    MotifCountStorage::KeyFn key_fn = CanonicalPatternKey);
+/// Appends Listing 1's aggregation — canonical pattern -> 1, summed — to
+/// `fractoid` under `name`, reduced by pattern id (Fractoid::
+/// AggregateByPattern).
+Fractoid AggregateMotifs(const Fractoid& fractoid,
+                         const std::string& name = "motifs");
 
 /// Builds the motifs fractoid of Listing 1 (without executing it).
 Fractoid MotifsFractoid(const FractalGraph& graph, uint32_t k);

@@ -7,26 +7,35 @@
 //
 // Typed K/V with std::function user hooks; the executor manipulates
 // storages through the type-erased base classes.
+//
+// Aggregations keyed by canonical pattern (motifs, FSM) use
+// AggregationStorageByPattern: it canonicalizes each subgraph once and
+// reduces into a slot indexed by the thread's dense pattern id, so no
+// Pattern key is built, hashed or compared per subgraph. Slots are folded
+// into the Pattern map when storages of different threads merge and at the
+// step barrier (Seal), while the threads' Computations are alive
+// (DESIGN.md §8 "Quick codes and pattern ids").
 #ifndef FRACTAL_CORE_AGGREGATION_H_
 #define FRACTAL_CORE_AGGREGATION_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/computation.h"
 #include "enumerate/subgraph.h"
+#include "pattern/canonical.h"
 #include "util/alloc_guard.h"
 #include "util/check.h"
 #include "util/hot_annotations.h"
 
 namespace fractal {
-
-class Computation;
 
 // --- Heap-footprint hook for aggregation keys/values ----------------------
 // AggregationStorage::ApproxBytes must count heap owned *by* the entries
@@ -101,6 +110,12 @@ class AggregationStorageBase {
   /// accumulator after a crash).
   virtual void Clear() = 0;
 
+  /// Resolves state that only the accumulating thread's Computation can
+  /// read (pattern-id slots) into keyed entries. The step barrier calls it
+  /// before the post-filter, while every Computation is alive; a no-op for
+  /// storages that key their entries directly.
+  virtual void Seal() {}
+
   /// Applies the spec's post-filter (aggFilter), dropping failing entries.
   virtual void ApplyPostFilter() = 0;
 
@@ -151,14 +166,7 @@ class AggregationStorage : public AggregationStorageBase {
   void Accumulate(const Subgraph& subgraph, Computation& comp) override {
     K key = key_fn_(subgraph, comp);
     V value = value_fn_(subgraph, comp);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      reduce_fn_(it->second, std::move(value));
-      return;
-    }
-    FRACTAL_HOT_ESCAPE("new key: one map node per distinct key per storage");
-    AllocGuard::Allow allow("aggregation new-key insert");
-    entries_.emplace(std::move(key), std::move(value));
+    ReduceIn(std::move(key), std::move(value));
   }
 
   void MergeFrom(AggregationStorageBase& other_base) override {
@@ -219,6 +227,21 @@ class AggregationStorage : public AggregationStorageBase {
     return it == entries_.end() ? nullptr : &it->second;
   }
 
+ protected:
+  /// Reduces `value` into the entry of `key`, inserting it if new.
+  void ReduceIn(K&& key, V&& value) {
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      reduce_fn_(it->second, std::move(value));
+      return;
+    }
+    FRACTAL_HOT_ESCAPE("new key: one map node per distinct key per storage");
+    AllocGuard::Allow allow("aggregation new-key insert");
+    entries_.emplace(std::move(key), std::move(value));
+  }
+
+  const ReduceFn& reduce_fn() const { return reduce_fn_; }
+
  private:
   std::unordered_map<K, V, Hash> entries_;
   KeyFn key_fn_;
@@ -250,6 +273,144 @@ class AggregationSpec : public AggregationSpecBase {
 
  private:
   typename Storage::KeyFn key_fn_;
+  typename Storage::ValueFn value_fn_;
+  typename Storage::ReduceFn reduce_fn_;
+  typename Storage::PostFilterFn post_filter_;
+};
+
+/// Aggregation keyed by canonical pattern (see the file comment). Results
+/// read like any AggregationStorage<Pattern, V, PatternHash> once sealed.
+template <typename V>
+class AggregationStorageByPattern
+    : public AggregationStorage<Pattern, V, PatternHash> {
+  using Base = AggregationStorage<Pattern, V, PatternHash>;
+
+ public:
+  /// Value extractor handed the canonical result the key came from, so the
+  /// value needs no second canonicalization (FSM's MNI domains read the
+  /// permutation and orbits).
+  using ValueFn = std::function<V(const Subgraph&, const CanonicalResult&,
+                                  Computation&)>;
+
+  AggregationStorageByPattern(ValueFn value_fn,
+                              typename Base::ReduceFn reduce_fn,
+                              typename Base::PostFilterFn post_filter)
+      : Base(nullptr, nullptr, std::move(reduce_fn), std::move(post_filter)),
+        value_fn_(std::move(value_fn)) {}
+
+  /// One canonicalization, then a reduce into slots_[id]. A storage reads
+  /// the ids of one Computation; a different one (never the case inside a
+  /// step) first folds the slots it holds.
+  void Accumulate(const Subgraph& subgraph, Computation& comp) override {
+    const CanonicalPatternCache* ids = &comp.canonical_cache();
+    if (ids != ids_) {
+      FRACTAL_HOT_ESCAPE("first subgraph of the storage binds its ids");
+      Fold();
+      ids_ = ids;
+    }
+    const CanonicalResult& canonical = comp.CanonicalPattern(subgraph);
+    V value = value_fn_(subgraph, canonical, comp);
+    if (canonical.id < slots_.size() && slots_[canonical.id].has_value()) {
+      this->reduce_fn()(*slots_[canonical.id], std::move(value));
+      return;
+    }
+    FRACTAL_HOT_ESCAPE("new pattern id: one slot per distinct canonical "
+                       "pattern per storage");
+    AllocGuard::Allow allow("aggregation new-pattern slot");
+    if (canonical.id >= slots_.size()) slots_.resize(canonical.id + 1);
+    slots_[canonical.id].emplace(std::move(value));
+  }
+
+  /// Slot-wise when both storages read the same ids (a lineage task's
+  /// scratch committing into its thread's storage); otherwise `other`'s
+  /// slots are folded into its Pattern map first and merge as entries.
+  void MergeFrom(AggregationStorageBase& other_base) override {
+    auto* other = dynamic_cast<AggregationStorageByPattern*>(&other_base);
+    FRACTAL_CHECK(other != nullptr) << "merging incompatible aggregations";
+    if (ids_ == nullptr) ids_ = other->ids_;  // unbound: no filled slots
+    if (other->ids_ == ids_) {
+      if (other->slots_.size() > slots_.size()) {
+        slots_.resize(other->slots_.size());
+      }
+      for (size_t id = 0; id < other->slots_.size(); ++id) {
+        std::optional<V>& from = other->slots_[id];
+        if (!from.has_value()) continue;
+        if (slots_[id].has_value()) {
+          this->reduce_fn()(*slots_[id], std::move(*from));
+        } else {
+          slots_[id].emplace(std::move(*from));
+        }
+        from.reset();  // keeps the scratch's slot capacity for its next task
+      }
+    } else {
+      other->Fold();
+    }
+    Base::MergeFrom(*other);
+  }
+
+  void Seal() override {
+    Fold();
+    ids_ = nullptr;
+  }
+
+  void Clear() override {
+    Base::Clear();
+    for (std::optional<V>& slot : slots_) slot.reset();
+  }
+
+  size_t NumEntries() const override {
+    size_t filled = 0;
+    for (const std::optional<V>& slot : slots_) filled += slot.has_value();
+    return Base::NumEntries() + filled;
+  }
+
+  uint64_t ApproxBytes() const override {
+    uint64_t bytes = Base::ApproxBytes() +
+                     slots_.capacity() * sizeof(std::optional<V>);
+    for (const std::optional<V>& slot : slots_) {
+      if (slot.has_value()) bytes += HeapBytesOf(*slot);
+    }
+    return bytes;
+  }
+
+ private:
+  /// Moves every filled slot into the Pattern map under ids_'s pattern.
+  void Fold() {
+    for (size_t id = 0; id < slots_.size(); ++id) {
+      if (!slots_[id].has_value()) continue;
+      this->ReduceIn(Pattern(ids_->PatternOf(static_cast<uint32_t>(id))),
+                     std::move(*slots_[id]));
+      slots_[id].reset();
+    }
+  }
+
+  ValueFn value_fn_;
+  // The Computation ids the slots are indexed by; null before the first
+  // Accumulate or merge and after Seal, and then every slot is empty.
+  const CanonicalPatternCache* ids_ = nullptr;
+  std::vector<std::optional<V>> slots_;
+};
+
+/// Descriptor of a pattern-keyed aggregation.
+template <typename V>
+class AggregationSpecByPattern : public AggregationSpecBase {
+ public:
+  using Storage = AggregationStorageByPattern<V>;
+
+  AggregationSpecByPattern(std::string name,
+                           typename Storage::ValueFn value_fn,
+                           typename Storage::ReduceFn reduce_fn,
+                           typename Storage::PostFilterFn post_filter)
+      : AggregationSpecBase(std::move(name)),
+        value_fn_(std::move(value_fn)),
+        reduce_fn_(std::move(reduce_fn)),
+        post_filter_(std::move(post_filter)) {}
+
+  std::unique_ptr<AggregationStorageBase> CreateStorage() const override {
+    return std::make_unique<Storage>(value_fn_, reduce_fn_, post_filter_);
+  }
+
+ private:
   typename Storage::ValueFn value_fn_;
   typename Storage::ReduceFn reduce_fn_;
   typename Storage::PostFilterFn post_filter_;

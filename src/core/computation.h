@@ -6,6 +6,7 @@
 #define FRACTAL_CORE_COMPUTATION_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "enumerate/extension.h"
 #include "enumerate/subgraph.h"
@@ -25,8 +26,17 @@ class Computation {
   const Graph& graph() const { return *graph_; }
 
   /// Canonical pattern (and position permutation) of `subgraph`, memoized
-  /// by quick pattern — the hot path of motif counting and FSM.
-  const CanonicalResult& CanonicalPattern(const Subgraph& subgraph) {
+  /// by quick pattern — the hot path of motif counting and FSM. The result's
+  /// id indexes this thread's pattern ids (valid for this Computation's
+  /// lifetime: one step attempt). Subgraphs whose quick code fits are
+  /// looked up by code; the rest build their quick Pattern.
+  FRACTAL_HOT const CanonicalResult& CanonicalPattern(
+      const Subgraph& subgraph) {
+    if (const std::optional<QuickCode> code =
+            subgraph.FittingQuickCode(*graph_)) {
+      return canonical_cache_.Canonicalize(*code,
+                                           *graph_->UniformEdgeLabel());
+    }
     return canonical_cache_.Canonicalize(subgraph.QuickPattern(*graph_));
   }
 

@@ -69,6 +69,22 @@ class Fractoid {
     return WithAggregate(std::move(spec));
   }
 
+  /// W2 keyed by canonical pattern: the key is the subgraph's canonical
+  /// pattern, the value `value_fn(subgraph, canonical, comp)`. Reduces by
+  /// dense pattern id per thread (AggregationStorageByPattern); results
+  /// read as Aggregation<Pattern, V, PatternHash>(name).
+  template <typename V>
+  Fractoid AggregateByPattern(
+      const std::string& name,
+      typename AggregationStorageByPattern<V>::ValueFn value_fn,
+      typename AggregationStorageByPattern<V>::ReduceFn reduce_fn,
+      typename AggregationStorageByPattern<V>::PostFilterFn post_filter =
+          nullptr) const {
+    return WithAggregate(std::make_shared<AggregationSpecByPattern<V>>(
+        name, std::move(value_fn), std::move(reduce_fn),
+        std::move(post_filter)));
+  }
+
   /// W5: chains the current workflow fragment `times` more times
   /// (Explore(0) is the identity). Keeps iterative applications concise —
   /// e.g. cliques: vfractoid.Expand(1).Filter(c).Explore(k - 1).

@@ -116,9 +116,7 @@ FRACTAL_HOT void FractoidStepTask::ProcessReplayRoot(ThreadContext& t,
   const uint64_t units_before = t.stats.work_units;
   {
     const AllocGuard guard(GuardModeFor(t));
-    s.subgraph = work.prefix;
-    strategy_.ApplyBySearch(graph_, work.extension, &s.subgraph,
-                            s.computation->scratch_arena());
+    ApplyDescriptor(s, work);
     if (!t.ConsumeWorkUnit()) {
       s.subgraph.Clear();
       DiscardTaskScratch(s);
@@ -133,6 +131,15 @@ FRACTAL_HOT void FractoidStepTask::ProcessReplayRoot(ThreadContext& t,
   } else {
     CommitTask(t, s, task_id, units_before);
   }
+}
+
+FRACTAL_HOT void FractoidStepTask::ApplyDescriptor(
+    CoreState& s, const SubgraphEnumerator::StolenWork& work) {
+  s.subgraph = work.prefix;
+  // A codec-decoded prefix arrives without its quick code.
+  s.subgraph.RebuildQuickCode(graph_);
+  strategy_.ApplyBySearch(graph_, work.extension, &s.subgraph,
+                          s.computation->scratch_arena());
 }
 
 void FractoidStepTask::CommitTask(ThreadContext& t, CoreState& s,
@@ -179,9 +186,7 @@ FRACTAL_HOT void FractoidStepTask::ProcessStolen(
     const uint64_t units_before = t.stats.work_units;
     {
       const AllocGuard guard(GuardModeFor(t));
-      s.subgraph = work.prefix;
-      strategy_.ApplyBySearch(graph_, work.extension, &s.subgraph,
-                              s.computation->scratch_arena());
+      ApplyDescriptor(s, work);
       if (!t.ConsumeWorkUnit()) {
         s.subgraph.Clear();
         DiscardTaskScratch(s);
@@ -199,9 +204,7 @@ FRACTAL_HOT void FractoidStepTask::ProcessStolen(
     return;
   }
   const AllocGuard guard(GuardModeFor(t));
-  s.subgraph = work.prefix;
-  strategy_.ApplyBySearch(graph_, work.extension, &s.subgraph,
-                          s.computation->scratch_arena());
+  ApplyDescriptor(s, work);
   if (!t.ConsumeWorkUnit()) {
     // The worker crashed: drop the stolen unit — the whole step attempt is
     // discarded and re-executed anyway.
@@ -386,6 +389,9 @@ FractoidStepTask::Output FractoidStepTask::MergeOutputs() {
     for (size_t i = 1; i < states_.size(); ++i) {
       merged->MergeFrom(*states_[i]->storages[slot]);
     }
+    // Fold thread-scoped pattern-id slots into keyed entries while the
+    // threads' Computations are alive; the result outlives them.
+    merged->Seal();
     merged->ApplyPostFilter();
     output.merged.push_back(std::move(merged));
   }

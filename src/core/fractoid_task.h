@@ -108,6 +108,10 @@ class FractoidStepTask : public StepTask {
   /// directly, bypassing the exclusion check — it IS the replayed work.
   FRACTAL_HOT void ProcessReplayRoot(ThreadContext& t, CoreState& s,
                                      uint32_t replay_index, uint64_t task_id);
+  /// Loads a stolen or replayed descriptor's prefix (rebuilding its quick
+  /// code against the step's graph) and pushes its extension by search.
+  FRACTAL_HOT void ApplyDescriptor(CoreState& s,
+                                   const SubgraphEnumerator::StolenWork& work);
   /// Folds the task scratch into the committed state, then stamps the
   /// ledger: the completion watermark is written only after the results it
   /// covers are durable in this thread's committed CoreState.

@@ -194,12 +194,12 @@ FRACTAL_HOT void VertexInducedStrategy::ComputeExtensions(
   }
 }
 
-FRACTAL_HOT void VertexInducedStrategy::Apply(const Graph& /*graph*/,
+FRACTAL_HOT void VertexInducedStrategy::Apply(const Graph& graph,
                                               uint32_t extension,
                                               std::span<const EdgeId> row,
                                               Subgraph* subgraph) const {
   FRACTAL_DCHECK(row.size() == subgraph->NumVertices());
-  subgraph->PushVertexWithEdges(extension, row);
+  subgraph->PushVertexWithEdges(graph, extension, row);
 }
 
 FRACTAL_HOT void VertexInducedStrategy::SearchRow(
@@ -355,6 +355,7 @@ PatternInducedStrategy::PatternInducedStrategy(Pattern pattern,
   }
 
   required_neighbors_.resize(n);
+  required_steps_.assign(n, 0);
   for (uint32_t step = 1; step < n; ++step) {
     const uint32_t position = plan_order_[step];
     for (uint32_t earlier = 0; earlier < step; ++earlier) {
@@ -363,6 +364,7 @@ PatternInducedStrategy::PatternInducedStrategy(Pattern pattern,
         required_neighbors_[step].push_back(
             {earlier,
              pattern_.EdgeLabelBetween(position, earlier_position)});
+        if (earlier < 64) required_steps_[step] |= uint64_t{1} << earlier;
       }
     }
     FRACTAL_CHECK(!required_neighbors_[step].empty());
@@ -548,13 +550,14 @@ FRACTAL_HOT void PatternInducedStrategy::EmitRows(
   rows->resize(kept * width);
 }
 
-FRACTAL_HOT void PatternInducedStrategy::Apply(const Graph& /*graph*/,
+FRACTAL_HOT void PatternInducedStrategy::Apply(const Graph& graph,
                                                uint32_t extension,
                                                std::span<const EdgeId> row,
                                                Subgraph* subgraph) const {
-  FRACTAL_DCHECK(row.size() ==
-                 required_neighbors_[subgraph->NumVertices()].size());
-  subgraph->PushVertexWithEdges(extension, row);
+  const uint32_t step = subgraph->NumVertices();
+  FRACTAL_DCHECK(row.size() == required_neighbors_[step].size());
+  subgraph->PushVertexWithEdges(graph, extension, row,
+                                required_steps_[step]);
 }
 
 FRACTAL_HOT void PatternInducedStrategy::SearchRow(
@@ -633,12 +636,12 @@ FRACTAL_HOT void KClistStrategy::ComputeExtensions(
   if (rows != nullptr) AppendWordRows(graph, word, 0, *out, rows);
 }
 
-FRACTAL_HOT void KClistStrategy::Apply(const Graph& /*graph*/,
+FRACTAL_HOT void KClistStrategy::Apply(const Graph& graph,
                                        uint32_t extension,
                                        std::span<const EdgeId> row,
                                        Subgraph* subgraph) const {
   FRACTAL_DCHECK(row.size() == subgraph->NumVertices());
-  subgraph->PushVertexWithEdges(extension, row);
+  subgraph->PushVertexWithEdges(graph, extension, row);
 }
 
 FRACTAL_HOT void KClistStrategy::SearchRow(

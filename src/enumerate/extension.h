@@ -187,6 +187,9 @@ class PatternInducedStrategy : public ExtensionStrategy {
     Label edge_label;
   };
   std::vector<std::vector<RequiredNeighbor>> required_neighbors_;
+  // required_steps_[k]: bit j per required neighbor step j of step k, the
+  // word positions a step-k push's row joins (Subgraph's `joined`).
+  std::vector<uint64_t> required_steps_;
   // For each step k >= 1 under induced semantics (empty otherwise): the
   // plan steps j < k the pattern leaves unlinked to k, whose neighbors the
   // vertex matched at k must avoid.

@@ -45,6 +45,8 @@ inline constexpr std::string_view kMetricNames[] = {
     "enumerate.scratch_hits",
     "enumerate.scratch_misses",
     "enumerate.steals",
+    // Counters — pattern aggregation.
+    "pattern.canonical_misses",
     // Counters — introspection plane.
     "obs.profiler_samples",
     "obs.exposition_requests",

@@ -266,6 +266,10 @@ Counter& ScratchMissesCounter() {
   static Counter& counter = NamedCounter("enumerate.scratch_misses");
   return counter;
 }
+Counter& CanonicalMissesCounter() {
+  static Counter& counter = NamedCounter("pattern.canonical_misses");
+  return counter;
+}
 
 Counter& QueriesAdmittedCounter() {
   static Counter& counter = NamedCounter("runtime.queries_admitted");

@@ -204,6 +204,10 @@ Counter& ScratchHitsCounter();
 /// once the DFS reaches steady state ("enumerate.scratch_misses").
 Counter& ScratchMissesCounter();
 
+/// Quick patterns canonicalized by a CanonicalPatternCache miss — one per
+/// distinct quick pattern per thread and step ("pattern.canonical_misses").
+Counter& CanonicalMissesCounter();
+
 /// Samples captured by the sampling profiler, credited at each
 /// Profiler::Stop ("obs.profiler_samples").
 Counter& ProfilerSamplesCounter();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
 #include "pattern/automorphism.h"
 #include "util/alloc_guard.h"
 #include "util/hot_annotations.h"
@@ -144,17 +145,63 @@ bool AreIsomorphic(const Pattern& a, const Pattern& b) {
 }
 
 FRACTAL_HOT const CanonicalResult& CanonicalPatternCache::Canonicalize(
-    const Pattern& quick_pattern) {
-  const auto it = cache_.find(quick_pattern);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
+    const QuickCode& code, Label edge_label) {
+  if (!code_table_.empty()) {
+    const size_t mask = code_table_.size() - 1;
+    for (size_t i = HashCode(code) & mask;; i = (i + 1) & mask) {
+      const CodeSlot& slot = code_table_[i];
+      if (slot.result == nullptr) break;
+      if (slot.code == code) return *slot.result;
+    }
   }
-  ++misses_;
+  FRACTAL_HOT_ESCAPE("cache miss: once per distinct quick pattern per thread");
+  AllocGuard::Allow allow("quick-code cache miss: CanonicalForm + insert");
+  FRACTAL_DCHECK(code_entries_ == 0 || edge_label == code_edge_label_)
+      << "one cache, one edge label";
+  code_edge_label_ = edge_label;
+  const CanonicalResult& result =
+      Insert(Pattern::FromQuickCode(code, edge_label));
+  InsertCode(code, &result);
+  return result;
+}
+
+FRACTAL_HOT const CanonicalResult& CanonicalPatternCache::Canonicalize(
+    const Pattern& quick_pattern) {
+  const auto it = by_pattern_.find(quick_pattern);
+  if (it != by_pattern_.end()) return *it->second;
   FRACTAL_HOT_ESCAPE("cache miss: once per distinct quick pattern per thread");
   AllocGuard::Allow allow("quick-pattern cache miss: CanonicalForm + insert");
-  return cache_.emplace(quick_pattern, CanonicalForm(quick_pattern))
-      .first->second;
+  const CanonicalResult& result = Insert(quick_pattern);
+  by_pattern_.emplace(quick_pattern, &result);
+  return result;
+}
+
+const CanonicalResult& CanonicalPatternCache::Insert(
+    const Pattern& quick_pattern) {
+  obs::CanonicalMissesCounter().Add(1);
+  CanonicalResult& result = results_.emplace_back(CanonicalForm(quick_pattern));
+  const auto [it, fresh] =
+      ids_.emplace(result.pattern, static_cast<uint32_t>(ids_.size()));
+  result.id = it->second;
+  if (fresh) patterns_by_id_.push_back(&it->first);
+  return result;
+}
+
+void CanonicalPatternCache::InsertCode(const QuickCode& code,
+                                       const CanonicalResult* result) {
+  if (2 * (code_entries_ + 1) > code_table_.size()) {
+    std::vector<CodeSlot> old = std::move(code_table_);
+    code_table_.assign(old.empty() ? 16 : 2 * old.size(), CodeSlot{});
+    code_entries_ = 0;
+    for (const CodeSlot& slot : old) {
+      if (slot.result != nullptr) InsertCode(slot.code, slot.result);
+    }
+  }
+  const size_t mask = code_table_.size() - 1;
+  size_t i = HashCode(code) & mask;
+  while (code_table_[i].result != nullptr) i = (i + 1) & mask;
+  code_table_[i] = CodeSlot{code, result};
+  ++code_entries_;
 }
 
 }  // namespace fractal

@@ -117,6 +117,24 @@ uint32_t Pattern::EdgeRank(uint32_t src, uint32_t dst) const {
   return rank + CountBits(HigherNeighbors(src) & below_dst);
 }
 
+Pattern Pattern::FromQuickCode(const QuickCode& code, Label edge_label) {
+  FRACTAL_DCHECK(code.LabelsFit());
+  Pattern pattern;
+  for (uint32_t p = 0; p < QuickCode::kMaxVertices; ++p) {
+    const uint64_t slot = (code.labels >> (8 * p)) & 0xFF;
+    if (slot == 0) break;
+    pattern.AddVertex(static_cast<Label>(slot - 1));
+  }
+  for (uint32_t p = 1; p < pattern.NumVertices(); ++p) {
+    for (uint64_t lower = (code.adjacency >> (8 * p)) & 0xFF; lower != 0;
+         lower &= lower - 1) {
+      pattern.AddEdge(static_cast<uint32_t>(__builtin_ctzll(lower)), p,
+                      edge_label);
+    }
+  }
+  return pattern;
+}
+
 uint32_t Pattern::EdgeIndex(uint32_t u, uint32_t v) const {
   FRACTAL_CHECK(u < NumVertices() && v < NumVertices() && IsAdjacent(u, v))
       << "no edge (" << u << "," << v << ") in pattern";

@@ -58,6 +58,39 @@ struct PatternEdge {
   friend auto operator<=>(const PatternEdge&, const PatternEdge&) = default;
 };
 
+/// A quick pattern of at most kMaxVertices positions whose every edge
+/// carries one label, packed into two words (DESIGN.md §8 "Quick codes and
+/// pattern ids"). `Subgraph` keeps one up to date on every push and pop, so
+/// canonicalization can look patterns up without building a `Pattern`.
+/// Equal codes encode equal quick patterns under the same edge label.
+struct QuickCode {
+  static constexpr uint32_t kMaxVertices = 8;
+  /// Widest vertex label a slot holds: a slot stores label + 1.
+  static constexpr Label kMaxLabel = 0xFD;
+  /// Slot of a vertex whose label is wider than kMaxLabel.
+  static constexpr uint64_t kUnfitSlot = 0xFF;
+
+  /// Byte p: the neighbours of position p among positions below p (each
+  /// edge is stored once, at its later endpoint).
+  uint64_t adjacency = 0;
+  /// Byte p: 0 past the last position, else label + 1 or kUnfitSlot.
+  uint64_t labels = 0;
+
+  static uint64_t LabelSlot(Label label) {
+    return label <= kMaxLabel ? uint64_t{label} + 1 : kUnfitSlot;
+  }
+
+  /// True iff no slot holds kUnfitSlot.
+  bool LabelsFit() const {
+    constexpr uint64_t kOnes = 0x0101010101010101ull;
+    constexpr uint64_t kHighs = 0x8080808080808080ull;
+    // A zero byte of ~labels is an all-ones byte of labels.
+    return ((~labels - kOnes) & labels & kHighs) == 0;
+  }
+
+  friend bool operator==(const QuickCode&, const QuickCode&) = default;
+};
+
 /// Small labeled graph over positions 0..NumVertices()-1.
 class Pattern {
  public:
@@ -222,6 +255,10 @@ class Pattern {
   static Pattern CyclePattern(uint32_t k);
   static Pattern PathPattern(uint32_t k);
   static Pattern StarPattern(uint32_t k);
+
+  /// The quick pattern `code` encodes, every edge labelled `edge_label`.
+  /// `code` must have LabelsFit().
+  static Pattern FromQuickCode(const QuickCode& code, Label edge_label);
 
  private:
   /// Inline storage. Entries past the used prefix stay zero, so equal

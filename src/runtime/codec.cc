@@ -10,8 +10,8 @@ void SubgraphCodec::EncodeSubgraph(const Subgraph& subgraph,
   for (const EdgeId e : subgraph.edges_) writer->PutU32(e);
   writer->PutU32(static_cast<uint32_t>(subgraph.records_.size()));
   for (const Subgraph::PushRecord& record : subgraph.records_) {
-    writer->PutU8(record.vertices_added);
-    writer->PutU8(record.edges_added);
+    writer->PutU8(static_cast<uint8_t>(record.vertices_added()));
+    writer->PutU8(static_cast<uint8_t>(record.edges_added()));
   }
 }
 
@@ -49,14 +49,18 @@ bool SubgraphCodec::DecodeSubgraph(ByteReader* reader, Subgraph* subgraph) {
   uint32_t vertex_total = 0;
   uint32_t edge_total = 0;
   for (uint32_t i = 0; i < num_records; ++i) {
-    subgraph->records_[i].vertices_added = reader->GetU8();
-    subgraph->records_[i].edges_added = reader->GetU8();
-    vertex_total += subgraph->records_[i].vertices_added;
-    edge_total += subgraph->records_[i].edges_added;
+    const uint32_t vertices_added = reader->GetU8();
+    const uint32_t edges_added = reader->GetU8();
+    subgraph->records_[i] =
+        Subgraph::PushRecord::Make(vertices_added, edges_added);
+    vertex_total += vertices_added;
+    edge_total += edges_added;
   }
   if (!reader->ok()) return false;
   // The words were written behind the bitsets' back; restore the invariant.
+  // The quick code needs the graph: consumers call RebuildQuickCode.
   subgraph->RebuildBits();
+  subgraph->MarkQuickCodeStale();
   // Structural consistency: records must account for every word element.
   return vertex_total == num_vertices && edge_total == num_edges;
 }

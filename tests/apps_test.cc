@@ -7,6 +7,7 @@
 #include "apps/keyword_search.h"
 #include "apps/motifs.h"
 #include "apps/queries.h"
+#include "baselines/single_thread.h"
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
 #include "tests/brute_force.h"
@@ -64,6 +65,51 @@ TEST(MotifsTest, LabeledMotifsDistinguishLabels) {
   for (const auto& [pattern, count] : expected) {
     EXPECT_EQ(result.counts.at(pattern), count);
   }
+}
+
+// Subgraphs whose quick pattern has no quick code go through the canonical
+// cache's Pattern path: more than 8 vertices, several edge labels, or a
+// vertex label wider than a code slot. Their counts must match the brute
+// force and the single-thread oracle exactly.
+void ExpectMotifsMatchOracles(const Graph& g, uint32_t k) {
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  const MotifsResult result = CountMotifs(graph, k, SmallCluster());
+  const auto expected = brute::MotifCounts(g, k);
+  ASSERT_FALSE(expected.empty()) << "k=" << k << " finds nothing";
+  ASSERT_EQ(result.counts.size(), expected.size()) << "k=" << k;
+  for (const auto& [pattern, count] : expected) {
+    ASSERT_TRUE(result.counts.count(pattern)) << pattern.ToString();
+    EXPECT_EQ(result.counts.at(pattern), count) << pattern.ToString();
+  }
+  EXPECT_EQ(result.counts, baselines::TunedMotifCounts(g, k));
+}
+
+TEST(MotifsTest, PatternPathPastEightVerticesMatchesOracles) {
+  ExpectMotifsMatchOracles(GenerateRandomGraph(12, 20, 1, 1, 5), 9);
+}
+
+TEST(MotifsTest, PatternPathWithTwoEdgeLabelsMatchesOracles) {
+  const Graph g = GenerateRandomGraph(12, 28, 2, 2, 41);
+  ASSERT_FALSE(g.UniformEdgeLabel().has_value());
+  ExpectMotifsMatchOracles(g, 4);
+}
+
+// Subgraphs without a wide vertex still take the code path, so one thread
+// mixes both paths; the nonzero uniform edge label must survive both.
+TEST(MotifsTest, PatternPathWithWideVertexLabelMatchesOracles) {
+  const Graph narrow = GenerateRandomGraph(12, 28, 1, 1, 42);
+  GraphBuilder builder;
+  for (VertexId v = 0; v < narrow.NumVertices(); ++v) {
+    builder.AddVertex(v % 3 == 0 ? QuickCode::kMaxLabel + 47 : v % 2);
+  }
+  for (EdgeId e = 0; e < narrow.NumEdges(); ++e) {
+    builder.AddEdge(narrow.Endpoints(e).src, narrow.Endpoints(e).dst,
+                    /*label=*/3);
+  }
+  const Graph g = std::move(builder).Build();
+  ASSERT_EQ(g.UniformEdgeLabel(), std::optional<Label>(3));
+  ExpectMotifsMatchOracles(g, 4);
 }
 
 TEST(CliquesTest, KnownCounts) {

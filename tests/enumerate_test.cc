@@ -10,6 +10,7 @@
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
 #include "pattern/canonical.h"
+#include "runtime/codec.h"
 #include "tests/brute_force.h"
 
 namespace fractal {
@@ -195,6 +196,43 @@ TEST(SubgraphTest, QuickPatternReflectsLabelsAndEdges) {
   EXPECT_TRUE(quick.IsAdjacent(0, 2));
   EXPECT_EQ(quick.EdgeLabelBetween(0, 2), 3u);
   EXPECT_FALSE(quick.IsAdjacent(1, 2));
+}
+
+// The quick code is kept by pushes and pops, not carried by the steal wire
+// format: a decoded prefix reports an unfit code until it is rebuilt
+// against the graph, and the rebuilt code (edge-only undo positions
+// included) equals the original's.
+TEST(SubgraphTest, QuickCodeRebuiltAfterCodecRoundTrip) {
+  const Graph g = testgraphs::Complete(4);  // one edge label, label 0
+  Subgraph original;
+  original.PushEdgeInduced(g, *g.EdgeBetween(0, 1));
+  original.PushEdgeInduced(g, *g.EdgeBetween(1, 2));
+  original.PushEdgeInduced(g, *g.EdgeBetween(0, 2));  // edge-only push
+  original.PushEdgeInduced(g, *g.EdgeBetween(2, 3));
+  const std::optional<QuickCode> code = original.FittingQuickCode(g);
+  ASSERT_TRUE(code.has_value());
+  EXPECT_EQ(Pattern::FromQuickCode(*code, 0), original.QuickPattern(g));
+
+  ByteWriter writer;
+  SubgraphCodec::EncodeSubgraph(original, &writer);
+  const std::vector<uint8_t> bytes = std::move(writer).Take();
+  ByteReader reader(bytes);
+  Subgraph decoded;
+  ASSERT_TRUE(SubgraphCodec::DecodeSubgraph(&reader, &decoded));
+  ASSERT_TRUE(decoded == original);
+  EXPECT_FALSE(decoded.FittingQuickCode(g).has_value());
+  decoded.RebuildQuickCode(g);
+  EXPECT_EQ(decoded.FittingQuickCode(g), code);
+
+  // Popping back to the edge-only push exercises its rebuilt undo record.
+  original.Pop();
+  decoded.Pop();
+  original.Pop();
+  decoded.Pop();
+  ASSERT_TRUE(decoded.FittingQuickCode(g).has_value());
+  EXPECT_EQ(decoded.FittingQuickCode(g), original.FittingQuickCode(g));
+  EXPECT_EQ(Pattern::FromQuickCode(*decoded.FittingQuickCode(g), 0),
+            decoded.QuickPattern(g));
 }
 
 TEST(VertexInducedTest, PaperFigure1Extensions) {

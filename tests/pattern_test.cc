@@ -4,6 +4,7 @@
 #include <compare>
 #include <map>
 #include <numeric>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -358,7 +359,82 @@ TEST(CanonicalTest, CacheHitsOnRepeatedQuickPatterns) {
   const CanonicalResult& second = cache.Canonicalize(p);
   EXPECT_EQ(&first, &second);
   EXPECT_EQ(cache.Misses(), 1u);
-  EXPECT_EQ(cache.Hits(), 1u);
+  EXPECT_EQ(cache.CacheSize(), 1u);
+}
+
+/// The QuickCode of a pattern of at most 8 positions with narrow labels
+/// (edge labels are not part of a code).
+QuickCode CodeOf(const Pattern& pattern) {
+  QuickCode code;
+  for (uint32_t v = 0; v < pattern.NumVertices(); ++v) {
+    code.labels |= QuickCode::LabelSlot(pattern.VertexLabel(v)) << (8 * v);
+    const uint64_t lower = pattern.NeighborMask(v) & ((1u << v) - 1);
+    code.adjacency |= lower << (8 * v);
+  }
+  return code;
+}
+
+/// Random pattern of 1..8 positions, every edge labelled `edge_label`.
+Pattern RandomUniformPattern(SplitMix64& rng, Label edge_label) {
+  Pattern pattern;
+  const uint32_t n = 1 + static_cast<uint32_t>(rng.NextBounded(8));
+  for (uint32_t v = 0; v < n; ++v) {
+    pattern.AddVertex(static_cast<Label>(rng.NextBounded(3)));
+  }
+  for (uint32_t v = 1; v < n; ++v) {
+    for (uint32_t u = 0; u < v; ++u) {
+      if (rng.NextBounded(100) < 35) pattern.AddEdge(u, v, edge_label);
+    }
+  }
+  return pattern;
+}
+
+TEST(QuickCodeTest, DecodesToTheEncodedPattern) {
+  SplitMix64 rng(91);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Pattern pattern = RandomUniformPattern(rng, /*edge_label=*/6);
+    const QuickCode code = CodeOf(pattern);
+    ASSERT_TRUE(code.LabelsFit());
+    EXPECT_EQ(Pattern::FromQuickCode(code, 6), pattern) << pattern.ToString();
+  }
+  QuickCode wide;
+  wide.labels = QuickCode::LabelSlot(QuickCode::kMaxLabel + 1);
+  EXPECT_FALSE(wide.LabelsFit());
+  wide.labels = QuickCode::LabelSlot(QuickCode::kMaxLabel);
+  EXPECT_TRUE(wide.LabelsFit());
+}
+
+// The cache's code table and Pattern map hand out one dense id space: a
+// code and the pattern it encodes get the same id, ids count canonical
+// classes, and every entry survives the code table's growth.
+TEST(CanonicalTest, QuickCodesAndPatternsShareDenseIds) {
+  CanonicalPatternCache cache;
+  SplitMix64 rng(92);
+  std::vector<Pattern> patterns;
+  std::vector<const CanonicalResult*> first;
+  std::map<Pattern, uint32_t> ids;
+  for (int trial = 0; trial < 400; ++trial) {
+    patterns.push_back(RandomUniformPattern(rng, /*edge_label=*/0));
+    const Pattern& pattern = patterns.back();
+    const CanonicalResult& by_code = cache.Canonicalize(CodeOf(pattern), 0);
+    const CanonicalResult& by_pattern = cache.Canonicalize(pattern);
+    const Pattern canonical = CanonicalForm(pattern).pattern;
+    ASSERT_EQ(by_code.pattern, canonical);
+    ASSERT_EQ(by_code.id, by_pattern.id);
+    ASSERT_EQ(cache.PatternOf(by_code.id), canonical);
+    const auto [it, fresh] = ids.emplace(canonical, by_code.id);
+    ASSERT_EQ(it->second, by_code.id) << "one canonical class, two ids";
+    first.push_back(&by_code);
+  }
+  EXPECT_EQ(cache.NumIds(), ids.size());
+  for (const auto& [canonical, id] : ids) EXPECT_LT(id, ids.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    EXPECT_EQ(&cache.Canonicalize(CodeOf(patterns[i]), 0), first[i]);
+  }
+  const std::set<Pattern> distinct(patterns.begin(), patterns.end());
+  // One miss per distinct quick pattern on each path.
+  EXPECT_EQ(cache.Misses(), 2 * distinct.size());
+  EXPECT_EQ(cache.CacheSize(), cache.Misses());
 }
 
 TEST(DfsCodeTest, TriangleCode) {

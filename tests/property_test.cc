@@ -253,7 +253,22 @@ TEST_P(SeededProperty, KeywordSearchReductionInvariance) {
 // form) must yield the same candidates and EC charge; for every candidate
 // it descends into, the kernel's own SearchRow (the thief's rebuild) must
 // reproduce the emitted row, and the kernel's row push and the reference's
-// search push must build identical vertex and edge words.
+// search push must build identical vertex and edge words. At every node the
+// kernel subgraph's incremental quick code (DESIGN.md §8) must decode to
+// exactly its quick pattern, or report that it does not fit when the graph
+// has more than one edge label.
+void ExpectQuickCodeMatches(const Graph& g, const Subgraph& s) {
+  const std::optional<QuickCode> code = s.FittingQuickCode(g);
+  if (!g.UniformEdgeLabel()) {
+    ASSERT_FALSE(code.has_value()) << "fits on a multi-label graph";
+    return;
+  }
+  ASSERT_TRUE(code.has_value()) << "no code at " << s.ToString();
+  ASSERT_EQ(Pattern::FromQuickCode(*code, *g.UniformEdgeLabel()),
+            s.QuickPattern(g))
+      << "quick code diverged at " << s.ToString();
+}
+
 void DifferentialSweep(const Graph& g, const ExtensionStrategy& kernel,
                        const ExtensionStrategy& reference,
                        uint32_t max_depth) {
@@ -269,6 +284,8 @@ void DifferentialSweep(const Graph& g, const ExtensionStrategy& kernel,
   std::vector<EdgeId> reference_rows;
   std::vector<EdgeId> searched;
   std::function<void(uint32_t)> recurse = [&](uint32_t depth) {
+    ExpectQuickCodeMatches(g, kernel_sub);
+    if (::testing::Test::HasFatalFailure()) return;
     kernel.ComputeExtensions(g, kernel_sub, kernel_ctx, &kernel_out,
                              &kernel_rows);
     kernel.ComputeExtensions(g, kernel_sub, plain_ctx, &plain_out, nullptr);
@@ -312,7 +329,8 @@ void DifferentialSweep(const Graph& g, const ExtensionStrategy& kernel,
 /// so its degree crosses the adjacency-bitmap threshold (max(64, |V|/64))
 /// and the kernel strategies exercise the bitmap filtering paths.
 Graph RandomGraphWithHub(uint32_t extra_edges, uint64_t seed,
-                         uint32_t num_vertex_labels = 3) {
+                         uint32_t num_vertex_labels = 3,
+                         uint32_t num_edge_labels = 2) {
   constexpr uint32_t kVertices = 80;
   GraphBuilder builder;
   SplitMix64 rng(seed);
@@ -325,7 +343,8 @@ Graph RandomGraphWithHub(uint32_t extra_edges, uint64_t seed,
     const VertexId u = 1 + static_cast<VertexId>(rng.NextBounded(kVertices - 1));
     const VertexId v = 1 + static_cast<VertexId>(rng.NextBounded(kVertices - 1));
     if (u == v || builder.HasEdge(u, v)) continue;
-    builder.AddEdge(u, v, static_cast<Label>(rng.NextBounded(2)));
+    builder.AddEdge(u, v,
+                    static_cast<Label>(rng.NextBounded(num_edge_labels)));
     ++added;
   }
   return std::move(builder).Build();
@@ -391,7 +410,15 @@ class ScanPatternInducedStrategy : public ExtensionStrategy {
              Subgraph* subgraph) const override {
     std::vector<EdgeId> row;
     SearchRow(graph, *subgraph, extension, &row);
-    subgraph->PushVertexWithEdges(extension, row);
+    uint64_t joined = 0;
+    const std::vector<uint32_t>& order = plan_.plan_order();
+    const uint32_t step = subgraph->NumVertices();
+    for (uint32_t earlier = 0; earlier < step; ++earlier) {
+      if (plan_.pattern().IsAdjacent(order[step], order[earlier])) {
+        joined |= uint64_t{1} << earlier;
+      }
+    }
+    subgraph->PushVertexWithEdges(graph, extension, row, joined);
   }
 
   // One EdgeBetween per required neighbor, in step order.
@@ -546,6 +573,26 @@ TEST_P(SeededProperty, KernelPatternExtensionsMatchScanUnderReduction) {
       g, [](const Graph&, VertexId v) { return v % 3 != 0; }, nullptr);
   ASSERT_LT(reduced.NumActiveVertices(), reduced.NumVertices());
   PatternSweep(reduced);
+}
+
+// The sweeps above mostly run on two edge labels, where the quick code must
+// report "does not fit"; these run the vertex-word and edge-induced kernels
+// on one edge label, where it must decode to the quick pattern at every
+// node (KClist and the pattern sweep already have uniform graphs).
+TEST_P(SeededProperty, KernelQuickCodesMatchQuickPatterns) {
+  const Graph vertex_graph = GenerateRandomGraph(24, 70, 3, 1, GetParam());
+  DifferentialSweep(vertex_graph, VertexInducedStrategy{},
+                    ReferenceVertexInducedStrategy{}, 3);
+  const Graph edge_graph = GenerateRandomGraph(18, 40, 3, 1, GetParam());
+  DifferentialSweep(edge_graph, EdgeInducedStrategy{},
+                    ReferenceEdgeInducedStrategy{}, 3);
+  const Graph hub = RandomGraphWithHub(160, GetParam(), 3, 1);
+  ASSERT_GT(hub.NumHubs(), 0u);
+  ASSERT_TRUE(hub.UniformEdgeLabel().has_value());
+  DifferentialSweep(hub, VertexInducedStrategy{},
+                    ReferenceVertexInducedStrategy{}, 2);
+  DifferentialSweep(hub, KClistStrategy{}, ReferenceKClistStrategy{}, 3);
+  PatternSweep(hub);
 }
 
 TEST(ExploreTest, ExploreZeroIsIdentity) {
