@@ -270,7 +270,7 @@ void BM_StolenWorkCodec(benchmark::State& state) {
   for (auto _ : state) {
     const auto bytes = SubgraphCodec::EncodeStolenWork(work);
     benchmark::DoNotOptimize(
-        SubgraphCodec::DecodeStolenWork(bytes, &decoded));
+        SubgraphCodec::DecodeStolenWork(bytes, nullptr, &decoded));
   }
 }
 BENCHMARK(BM_StolenWorkCodec);

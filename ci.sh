@@ -45,8 +45,9 @@
 #      checker's textual frontend needs only python3.
 #   6. Alloc-guard gate: hot_path_test re-run with FRACTAL_ALLOC_GUARD=abort
 #      — full-cluster runs of the vertex-induced, edge-induced, and KClist
-#      strategies and of motif counting's pattern aggregation abort the
-#      process on any steady-state heap allocation.
+#      strategies, of motif counting's pattern aggregation and of FSM's
+#      in-place MNI domains abort the process on any steady-state heap
+#      allocation.
 #   7. Static analysis: a clang build with -Wthread-safety promoted to an
 #      error (checking the GUARDED_BY/REQUIRES contracts of util/mutex.h),
 #      then clang-tidy with the curated .clang-tidy profile over src/,
@@ -222,8 +223,8 @@ fi
 echo "=== alloc-guard: zero steady-state allocations, abort on regression ==="
 # The runtime backstop for whatever the static walk cannot see: full-cluster
 # runs of all four extension strategies (vertex-induced, edge-induced,
-# KClist, pattern-induced) and of CountMotifs with the
-# operator new interposer armed to abort. Any post-warm-up heap allocation on an enumeration thread
+# KClist, pattern-induced), of CountMotifs and of a 3-edge FSM on a 2x2
+# stealing cluster with the operator new interposer armed to abort. Any post-warm-up heap allocation on an enumeration thread
 # kills the test.
 FRACTAL_ALLOC_GUARD=abort ./build-ci/tests/hot_path_test
 FRACTAL_ALLOC_GUARD=abort ./build-ci/tests/alloc_guard_test

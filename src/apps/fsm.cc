@@ -1,83 +1,158 @@
 #include "apps/fsm.h"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 #include "core/computation.h"
 #include "util/alloc_guard.h"
 #include "util/timer.h"
 
 namespace fractal {
 
-void DomainSupport::AddEmbedding(const Subgraph& subgraph,
-                                 const CanonicalResult& canonical) {
+namespace {
+
+/// Smallest run buffer, in ids.
+constexpr uint32_t kMinRunIds = 8;
+
+uint64_t BitmapWords(uint32_t num_vertices) {
+  return (uint64_t{num_vertices} + 63) / 64;
+}
+
+}  // namespace
+
+FRACTAL_HOT void DomainSupport::AddEmbedding(
+    const Subgraph& subgraph, const CanonicalResult& canonical) {
   const uint32_t k = subgraph.NumVertices();
-  if (domains_.size() < k) domains_.resize(k);
+  if (domains_.size() < k) SizeDomains(k);
   // Orbit closure: automorphic positions have identical domains, so each
   // vertex is recorded once under its orbit representative (the MNI support
   // is then the min over representatives).
   for (uint32_t position = 0; position < k; ++position) {
-    domains_[canonical.orbit[canonical.permutation[position]]].insert(
-        subgraph.VertexAt(position));
+    domains_[canonical.orbit[canonical.permutation[position]]].AddId(
+        subgraph.VertexAt(position), num_vertices_);
   }
 }
 
+void DomainSupport::SizeDomains(uint32_t num_positions) {
+  FRACTAL_HOT_ESCAPE("first embedding of a pattern: one domain per position");
+  AllocGuard::Allow allow("MNI domain growth");
+  domains_.resize(num_positions);
+}
+
+void DomainSupport::VertexSet::GrowRun(uint32_t num_vertices) {
+  FRACTAL_HOT_ESCAPE("run buffer full: amortized over the ids it holds");
+  AllocGuard::Allow allow("MNI domain growth");
+  CompactRun();
+  MaybePromote(num_vertices);
+  if (promoted()) return;
+  if (run_.empty() || uint64_t{length_} * 2 > run_.size()) {
+    run_.resize(std::max<size_t>(kMinRunIds, 2 * run_.size()));
+  }
+}
+
+void DomainSupport::VertexSet::CompactRun() {
+  if (sorted_ == length_) return;
+  std::sort(run_.begin(), run_.begin() + length_);
+  length_ = static_cast<uint32_t>(
+      std::unique(run_.begin(), run_.begin() + length_) - run_.begin());
+  sorted_ = length_;
+}
+
+void DomainSupport::VertexSet::MaybePromote(uint32_t num_vertices) {
+  const uint64_t words = BitmapWords(num_vertices);
+  if (uint64_t{length_} * sizeof(VertexId) < words * sizeof(uint64_t)) {
+    return;
+  }
+  bits_.assign(words, 0);
+  for (uint32_t i = 0; i < length_; ++i) SetVertexBit(run_[i]);
+  std::vector<VertexId>().swap(run_);
+  length_ = 0;
+  sorted_ = 0;
+}
+
+void DomainSupport::VertexSet::Merge(VertexSet&& other,
+                                     uint32_t num_vertices) {
+  if (other.empty()) return;
+  if (empty() || (other.promoted() && !promoted())) std::swap(*this, other);
+  if (promoted() && other.promoted()) {
+    count_ = 0;
+    for (size_t w = 0; w < bits_.size(); ++w) {
+      bits_[w] |= other.bits_[w];
+      count_ += static_cast<uint64_t>(std::popcount(bits_[w]));
+    }
+  } else {
+    // Appended like embeddings: compaction and promotion stay amortized
+    // when many small task storages merge into one large set.
+    for (uint32_t i = 0; i < other.length_; ++i) {
+      AddId(other.run_[i], num_vertices);
+    }
+  }
+  other = VertexSet();
+}
+
+uint64_t DomainSupport::VertexSet::Size() const {
+  if (promoted()) return count_;
+  if (sorted_ == length_) return length_;
+  // An uncompacted tail: count its distinct ids missing from the prefix.
+  std::vector<VertexId> tail(run_.begin() + sorted_, run_.begin() + length_);
+  std::sort(tail.begin(), tail.end());
+  tail.erase(std::unique(tail.begin(), tail.end()), tail.end());
+  uint64_t size = sorted_;
+  for (const VertexId v : tail) {
+    size += !std::binary_search(run_.begin(), run_.begin() + sorted_, v);
+  }
+  return size;
+}
+
 void DomainSupport::Merge(DomainSupport&& other) {
+  FRACTAL_CHECK_EQ(num_vertices_, other.num_vertices_)
+      << "merging domains of different graphs";
   if (domains_.size() < other.domains_.size()) {
     domains_.resize(other.domains_.size());
   }
   for (size_t i = 0; i < other.domains_.size(); ++i) {
-    if (domains_[i].empty()) {
-      domains_[i] = std::move(other.domains_[i]);
-    } else {
-      domains_[i].insert(other.domains_[i].begin(), other.domains_[i].end());
-    }
+    domains_[i].Merge(std::move(other.domains_[i]), num_vertices_);
   }
   threshold_ = std::max(threshold_, other.threshold_);
 }
 
 uint64_t DomainSupport::Support() const {
-  if (domains_.empty()) return 0;
-  // Only orbit-representative slots are populated (see AddEmbedding); the
-  // other positions share a representative's domain, so skip their empty
-  // slots.
+  // Only orbit-representative domains are filled (see AddEmbedding); the
+  // other positions share a representative's domain, so skip them.
   uint64_t support = UINT64_MAX;
   bool any = false;
-  for (const auto& domain : domains_) {
+  for (const VertexSet& domain : domains_) {
     if (domain.empty()) continue;
-    support = std::min<uint64_t>(support, domain.size());
+    support = std::min(support, domain.Size());
     any = true;
   }
   return any ? support : 0;
 }
 
 uint64_t DomainSupport::ApproxBytes() const {
-  uint64_t bytes = sizeof(DomainSupport);
-  for (const auto& domain : domains_) {
-    bytes += domain.size() * (sizeof(VertexId) + sizeof(void*));
-  }
+  uint64_t bytes = sizeof(DomainSupport) +
+                   domains_.capacity() * sizeof(VertexSet);
+  for (const VertexSet& domain : domains_) bytes += domain.HeapBytes();
   return bytes;
 }
 
 namespace {
 
 /// Appends the FSM aggregation (pattern -> DomainSupport with the
-/// has-enough-support post-filter) to a fractoid.
+/// has-enough-support post-filter) to a fractoid. Each embedding is folded
+/// into its pattern's domains in place.
 Fractoid WithSupportAggregation(const Fractoid& fractoid,
                                 uint32_t min_support) {
   return fractoid.AggregateByPattern<DomainSupport>(
-      "support",
-      // DomainSupport owns hash sets by design: building one per embedding
-      // and folding it in allocate, so both callbacks are audited escapes
-      // from the step's AllocGuard (the canonicalization stays guarded).
-      /*value_fn=*/
-      [min_support](const Subgraph& subgraph, const CanonicalResult& canonical,
-                    Computation&) {
-        AllocGuard::Allow allow("FSM per-embedding DomainSupport");
-        DomainSupport support(min_support);
+      "support", DomainSupport(min_support, fractoid.graph()->NumVertices()),
+      /*add_fn=*/
+      [](DomainSupport& support, const Subgraph& subgraph,
+         const CanonicalResult& canonical, Computation&) {
         support.AddEmbedding(subgraph, canonical);
-        return support;
       },
       /*reduce_fn=*/
       [](DomainSupport& into, DomainSupport&& from) {
-        AllocGuard::Allow allow("FSM DomainSupport merge");
         into.Merge(std::move(from));
       },
       /*post_filter=*/

@@ -8,11 +8,10 @@ namespace fractal {
 
 Fractoid AggregateMotifs(const Fractoid& fractoid, const std::string& name) {
   return fractoid.AggregateByPattern<uint64_t>(
-      name,
-      /*value_fn=*/
-      [](const Subgraph&, const CanonicalResult&, Computation&) -> uint64_t {
-        return 1;
-      },
+      name, /*zero=*/0,
+      /*add_fn=*/
+      [](uint64_t& count, const Subgraph&, const CanonicalResult&,
+         Computation&) { ++count; },
       /*reduce_fn=*/[](uint64_t& into, uint64_t&& from) { into += from; });
 }
 

@@ -214,8 +214,8 @@ BfsResult BfsEngine::Fsm(uint32_t min_support, uint32_t max_edges) {
       const Subgraph subgraph = RebuildEdgeWord(graph_, current.Row(row));
       const CanonicalResult& canonical =
           cache.Canonicalize(subgraph.QuickPattern(graph_));
-      auto [it, inserted] =
-          supports.try_emplace(canonical.pattern, DomainSupport(min_support));
+      auto [it, inserted] = supports.try_emplace(
+          canonical.pattern, DomainSupport(min_support, graph_.NumVertices()));
       it->second.AddEmbedding(subgraph, canonical);
     }
     uint64_t support_bytes = 0;

@@ -10,11 +10,12 @@
 //
 // Aggregations keyed by canonical pattern (motifs, FSM) use
 // AggregationStorageByPattern: it canonicalizes each subgraph once and
-// reduces into a slot indexed by the thread's dense pattern id, so no
-// Pattern key is built, hashed or compared per subgraph. Slots are folded
-// into the Pattern map when storages of different threads merge and at the
-// step barrier (Seal), while the threads' Computations are alive
-// (DESIGN.md §8 "Quick codes and pattern ids").
+// folds it in place into a slot indexed by the thread's dense pattern id,
+// so per subgraph no Pattern key is built, hashed or compared, and no value
+// is built. Slots are folded into the Pattern map when storages of
+// different threads merge and at the step barrier (Seal), while the
+// threads' Computations are alive (DESIGN.md §8 "Quick codes and pattern
+// ids").
 #ifndef FRACTAL_CORE_AGGREGATION_H_
 #define FRACTAL_CORE_AGGREGATION_H_
 
@@ -286,22 +287,25 @@ class AggregationStorageByPattern
   using Base = AggregationStorage<Pattern, V, PatternHash>;
 
  public:
-  /// Value extractor handed the canonical result the key came from, so the
-  /// value needs no second canonicalization (FSM's MNI domains read the
-  /// permutation and orbits).
-  using ValueFn = std::function<V(const Subgraph&, const CanonicalResult&,
-                                  Computation&)>;
+  /// In-place fold of one subgraph into its pattern's slot, handed the
+  /// canonical result the slot came from, so nothing is canonicalized twice
+  /// (FSM's MNI domains read the permutation and orbits).
+  using AddFn = std::function<void(V& slot, const Subgraph&,
+                                   const CanonicalResult&, Computation&)>;
 
-  AggregationStorageByPattern(ValueFn value_fn,
+  AggregationStorageByPattern(V zero, AddFn add_fn,
                               typename Base::ReduceFn reduce_fn,
                               typename Base::PostFilterFn post_filter)
       : Base(nullptr, nullptr, std::move(reduce_fn), std::move(post_filter)),
-        value_fn_(std::move(value_fn)) {}
+        zero_(std::move(zero)),
+        add_fn_(std::move(add_fn)) {}
 
-  /// One canonicalization, then a reduce into slots_[id]. A storage reads
-  /// the ids of one Computation; a different one (never the case inside a
-  /// step) first folds the slots it holds.
-  void Accumulate(const Subgraph& subgraph, Computation& comp) override {
+  /// One canonicalization, then an in-place add into slots_[id]; a new
+  /// slot starts as a copy of `zero`. A storage reads the ids of one
+  /// Computation; a different one (never the case inside a step) first
+  /// folds the slots it holds.
+  FRACTAL_HOT void Accumulate(const Subgraph& subgraph,
+                              Computation& comp) override {
     const CanonicalPatternCache* ids = &comp.canonical_cache();
     if (ids != ids_) {
       FRACTAL_HOT_ESCAPE("first subgraph of the storage binds its ids");
@@ -309,16 +313,15 @@ class AggregationStorageByPattern
       ids_ = ids;
     }
     const CanonicalResult& canonical = comp.CanonicalPattern(subgraph);
-    V value = value_fn_(subgraph, canonical, comp);
     if (canonical.id < slots_.size() && slots_[canonical.id].has_value()) {
-      this->reduce_fn()(*slots_[canonical.id], std::move(value));
+      add_fn_(*slots_[canonical.id], subgraph, canonical, comp);
       return;
     }
     FRACTAL_HOT_ESCAPE("new pattern id: one slot per distinct canonical "
                        "pattern per storage");
     AllocGuard::Allow allow("aggregation new-pattern slot");
     if (canonical.id >= slots_.size()) slots_.resize(canonical.id + 1);
-    slots_[canonical.id].emplace(std::move(value));
+    add_fn_(slots_[canonical.id].emplace(zero_), subgraph, canonical, comp);
   }
 
   /// Slot-wise when both storages read the same ids (a lineage task's
@@ -384,7 +387,8 @@ class AggregationStorageByPattern
     }
   }
 
-  ValueFn value_fn_;
+  V zero_;
+  AddFn add_fn_;
   // The Computation ids the slots are indexed by; null before the first
   // Accumulate or merge and after Seal, and then every slot is empty.
   const CanonicalPatternCache* ids_ = nullptr;
@@ -397,21 +401,24 @@ class AggregationSpecByPattern : public AggregationSpecBase {
  public:
   using Storage = AggregationStorageByPattern<V>;
 
-  AggregationSpecByPattern(std::string name,
-                           typename Storage::ValueFn value_fn,
+  AggregationSpecByPattern(std::string name, V zero,
+                           typename Storage::AddFn add_fn,
                            typename Storage::ReduceFn reduce_fn,
                            typename Storage::PostFilterFn post_filter)
       : AggregationSpecBase(std::move(name)),
-        value_fn_(std::move(value_fn)),
+        zero_(std::move(zero)),
+        add_fn_(std::move(add_fn)),
         reduce_fn_(std::move(reduce_fn)),
         post_filter_(std::move(post_filter)) {}
 
   std::unique_ptr<AggregationStorageBase> CreateStorage() const override {
-    return std::make_unique<Storage>(value_fn_, reduce_fn_, post_filter_);
+    return std::make_unique<Storage>(zero_, add_fn_, reduce_fn_,
+                                     post_filter_);
   }
 
  private:
-  typename Storage::ValueFn value_fn_;
+  V zero_;
+  typename Storage::AddFn add_fn_;
   typename Storage::ReduceFn reduce_fn_;
   typename Storage::PostFilterFn post_filter_;
 };

@@ -70,18 +70,20 @@ class Fractoid {
   }
 
   /// W2 keyed by canonical pattern: the key is the subgraph's canonical
-  /// pattern, the value `value_fn(subgraph, canonical, comp)`. Reduces by
-  /// dense pattern id per thread (AggregationStorageByPattern); results
-  /// read as Aggregation<Pattern, V, PatternHash>(name).
+  /// pattern; its value starts as a copy of `zero` and folds in each of the
+  /// pattern's subgraphs in place, `add_fn(value, subgraph, canonical,
+  /// comp)`. Adds by dense pattern id per thread
+  /// (AggregationStorageByPattern); `reduce_fn` merges thread and task
+  /// storages. Results read as Aggregation<Pattern, V, PatternHash>(name).
   template <typename V>
   Fractoid AggregateByPattern(
-      const std::string& name,
-      typename AggregationStorageByPattern<V>::ValueFn value_fn,
+      const std::string& name, V zero,
+      typename AggregationStorageByPattern<V>::AddFn add_fn,
       typename AggregationStorageByPattern<V>::ReduceFn reduce_fn,
       typename AggregationStorageByPattern<V>::PostFilterFn post_filter =
           nullptr) const {
     return WithAggregate(std::make_shared<AggregationSpecByPattern<V>>(
-        name, std::move(value_fn), std::move(reduce_fn),
+        name, std::move(zero), std::move(add_fn), std::move(reduce_fn),
         std::move(post_filter)));
   }
 

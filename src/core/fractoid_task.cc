@@ -25,9 +25,12 @@ FractoidStepTask::FractoidStepTask(
       completed_(std::move(completed)) {
   const auto& workflow = fractoid_.primitives();
   num_levels_ = 0;
+  expansions_before_.reserve(plan_.end + 1);
   for (uint32_t i = 0; i < plan_.end; ++i) {
+    expansions_before_.push_back(num_levels_);
     if (workflow[i].kind == Primitive::Kind::kExpand) ++num_levels_;
   }
+  expansions_before_.push_back(num_levels_);
   // Map each to-compute aggregation index to a storage slot.
   storage_slots_.assign(plan_.end, -1);
   for (uint32_t i = plan_.new_begin; i < plan_.end; ++i) {
@@ -213,6 +216,15 @@ FRACTAL_HOT void FractoidStepTask::ProcessStolen(
   }
   Process(t, s, work.primitive_index);
   s.subgraph.Clear();
+}
+
+StolenWorkBounds FractoidStepTask::StealBounds() const {
+  StolenWorkBounds bounds;
+  bounds.num_vertices = graph_.NumVertices();
+  bounds.num_edges = graph_.NumEdges();
+  bounds.num_extensions = strategy_.NumExtensionIds(graph_);
+  bounds.expansions_before = expansions_before_;
+  return bounds;
 }
 
 void FractoidStepTask::FinishThread(ThreadContext& t) {

@@ -47,6 +47,7 @@ class FractoidStepTask : public StepTask {
   FRACTAL_HOT void ProcessStolen(
       ThreadContext& t, const SubgraphEnumerator::StolenWork& work) override;
   void FinishThread(ThreadContext& t) override;
+  StolenWorkBounds StealBounds() const override;
 
   /// Everything the step produced besides telemetry, merged across threads.
   /// Only valid after the step barrier (Cluster::RunStep returned).
@@ -142,6 +143,8 @@ class FractoidStepTask : public StepTask {
   std::vector<const AggregationStorageBase*> completed_;
 
   uint32_t num_levels_ = 0;
+  // expansions_before_[i]: E primitives before primitive i, i <= plan_.end.
+  std::vector<uint32_t> expansions_before_;
   std::vector<int32_t> storage_slots_;
   std::vector<uint32_t> new_aggregates_;
 

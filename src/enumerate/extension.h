@@ -99,6 +99,12 @@ class ExtensionStrategy {
   /// Maximum subgraph depth this strategy can extend to, or 0 for unbounded
   /// (pattern-induced stops at the pattern size).
   virtual uint32_t MaxDepth() const { return 0; }
+
+  /// Bound on extension ids: vertex ids, or edge ids for edge-induced
+  /// extension.
+  virtual uint32_t NumExtensionIds(const Graph& graph) const {
+    return graph.NumVertices();
+  }
 };
 
 /// Vertex-induced extension with canonical subgraph checking. Used by
@@ -131,6 +137,9 @@ class EdgeInducedStrategy : public ExtensionStrategy {
   FRACTAL_HOT void SearchRow(
       const Graph& graph, const Subgraph& subgraph, uint32_t extension,
       FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const override;
+  uint32_t NumExtensionIds(const Graph& graph) const override {
+    return graph.NumEdges();
+  }
 };
 
 /// Whether a pattern match requires the absence of non-pattern edges.

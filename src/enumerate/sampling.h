@@ -73,6 +73,9 @@ class SamplingStrategy : public ExtensionStrategy {
     base_->Undo(graph, subgraph);
   }
   uint32_t MaxDepth() const override { return base_->MaxDepth(); }
+  uint32_t NumExtensionIds(const Graph& graph) const override {
+    return base_->NumExtensionIds(graph);
+  }
 
  private:
   static uint64_t Mix(uint64_t z) {

@@ -39,6 +39,7 @@ inline constexpr std::string_view kMetricNames[] = {
     // Counters — message bus.
     "bus.steal_timeouts",
     "bus.requests_dropped",
+    "bus.payloads_rejected",
     // Counters — enumeration data plane.
     "enumerate.intersections",
     "enumerate.galloped",
@@ -98,6 +99,7 @@ inline constexpr std::string_view kTraceNames[] = {
     "scheduler/done",
     "scheduler/reject",
     "worker/drain_roots",
+    "worker/payload_rejected",
     "worker/process_stolen",
     "worker/steal_miss",
     "worker/steal_service",

@@ -250,6 +250,10 @@ Counter& DroppedRequestsCounter() {
   static Counter& counter = NamedCounter("bus.requests_dropped");
   return counter;
 }
+Counter& PayloadsRejectedCounter() {
+  static Counter& counter = NamedCounter("bus.payloads_rejected");
+  return counter;
+}
 Counter& IntersectionKernelsCounter() {
   static Counter& counter = NamedCounter("enumerate.intersections");
   return counter;

@@ -191,6 +191,9 @@ Counter& StealTimeoutsCounter();
 /// WS_ext steal requests dropped in flight by fault injection
 /// ("bus.requests_dropped").
 Counter& DroppedRequestsCounter();
+/// WS_ext steal payloads the thief rejected because their ids fall outside
+/// the step's graph or plan ("bus.payloads_rejected").
+Counter& PayloadsRejectedCounter();
 /// Sorted-set kernel invocations (intersections and differences) in the
 /// enumeration data plane ("enumerate.intersections"; HotMetrics).
 Counter& IntersectionKernelsCounter();

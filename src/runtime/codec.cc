@@ -1,5 +1,7 @@
 #include "runtime/codec.h"
 
+#include "runtime/lineage.h"
+
 namespace fractal {
 
 void SubgraphCodec::EncodeSubgraph(const Subgraph& subgraph,
@@ -28,7 +30,7 @@ bool ReadCount(ByteReader* reader, size_t element_bytes, uint32_t* count) {
 
 }  // namespace
 
-bool SubgraphCodec::DecodeSubgraph(ByteReader* reader, Subgraph* subgraph) {
+bool SubgraphCodec::DecodeWords(ByteReader* reader, Subgraph* subgraph) {
   subgraph->Clear();
   uint32_t num_vertices = 0;
   if (!ReadCount(reader, sizeof(uint32_t), &num_vertices)) return false;
@@ -56,13 +58,21 @@ bool SubgraphCodec::DecodeSubgraph(ByteReader* reader, Subgraph* subgraph) {
     vertex_total += vertices_added;
     edge_total += edges_added;
   }
-  if (!reader->ok()) return false;
+  // Structural consistency: records must account for every word element.
+  return reader->ok() && vertex_total == num_vertices &&
+         edge_total == num_edges;
+}
+
+void SubgraphCodec::FinishDecode(Subgraph* subgraph) {
   // The words were written behind the bitsets' back; restore the invariant.
-  // The quick code needs the graph: consumers call RebuildQuickCode.
   subgraph->RebuildBits();
   subgraph->MarkQuickCodeStale();
-  // Structural consistency: records must account for every word element.
-  return vertex_total == num_vertices && edge_total == num_edges;
+}
+
+bool SubgraphCodec::DecodeSubgraph(ByteReader* reader, Subgraph* subgraph) {
+  if (!DecodeWords(reader, subgraph)) return false;
+  FinishDecode(subgraph);
+  return true;
 }
 
 std::vector<uint8_t> SubgraphCodec::EncodeStolenWork(
@@ -77,15 +87,44 @@ std::vector<uint8_t> SubgraphCodec::EncodeStolenWork(
 }
 
 bool SubgraphCodec::DecodeStolenWork(const std::vector<uint8_t>& bytes,
+                                     const StolenWorkBounds* bounds,
                                      SubgraphEnumerator::StolenWork* work) {
   ByteReader reader(bytes);
-  if (!DecodeSubgraph(&reader, &work->prefix)) return false;
+  Subgraph& prefix = work->prefix;
+  const bool words_ok = DecodeWords(&reader, &prefix);
   work->extension = reader.GetU32();
   work->primitive_index = reader.GetU32();
   const uint64_t lineage_lo = reader.GetU32();
   const uint64_t lineage_hi = reader.GetU32();
   work->lineage_id = (lineage_hi << 32) | lineage_lo;
-  return reader.ok() && reader.AtEnd();
+  // Bounds before the bitsets are rebuilt: they grow to cover every id, and
+  // the thief's search push reads adjacency rows by them.
+  if (!words_ok || !reader.ok() || !reader.AtEnd() ||
+      (bounds != nullptr && !WithinBounds(*work, *bounds))) {
+    prefix.Clear();
+    return false;
+  }
+  FinishDecode(&prefix);
+  return true;
+}
+
+bool SubgraphCodec::WithinBounds(const SubgraphEnumerator::StolenWork& work,
+                                 const StolenWorkBounds& bounds) {
+  const Subgraph& prefix = work.prefix;
+  for (const VertexId v : prefix.vertices_) {
+    if (v >= bounds.num_vertices) return false;
+  }
+  for (const EdgeId e : prefix.edges_) {
+    if (e >= bounds.num_edges) return false;
+  }
+  if (work.primitive_index == kReplayRootPrimitive) {
+    return prefix.records_.empty() &&
+           work.extension < bounds.num_replay_roots;
+  }
+  return work.extension < bounds.num_extensions &&
+         work.primitive_index < bounds.expansions_before.size() &&
+         prefix.records_.size() + 1 ==
+             bounds.expansions_before[work.primitive_index];
 }
 
 }  // namespace fractal

@@ -7,6 +7,7 @@
 #define FRACTAL_RUNTIME_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "enumerate/enumerator.h"
@@ -67,6 +68,24 @@ class ByteReader {
   bool ok_ = true;
 };
 
+/// Id ranges a StolenWork received from another worker must fall in: the
+/// step's graph and plan. The thief checks them before anything is sized or
+/// searched by the payload's ids.
+struct StolenWorkBounds {
+  uint32_t num_vertices = 0;  // prefix vertex ids
+  uint32_t num_edges = 0;     // prefix edge ids
+  /// `extension` of ordinary work: a vertex or an edge id, by strategy.
+  uint32_t num_extensions = 0;
+  /// expansions_before[p]: E primitives before primitive p of the step's
+  /// plan (p up to the plan's end). Work at `primitive_index` p carries a
+  /// prefix one push short of that, as the frame it was claimed from did,
+  /// so its DFS stays within the step's frames.
+  std::span<const uint32_t> expansions_before;
+  /// Replay roots of the current salvage pass: a replay root
+  /// (kReplayRootPrimitive, empty prefix) names one by `extension`.
+  uint32_t num_replay_roots = 0;
+};
+
 /// Encodes/decodes Subgraph and StolenWork values.
 class SubgraphCodec {
  public:
@@ -75,8 +94,25 @@ class SubgraphCodec {
 
   static std::vector<uint8_t> EncodeStolenWork(
       const SubgraphEnumerator::StolenWork& work);
+  /// Decodes `bytes` into `*work`, or returns false when they are malformed
+  /// or, given `bounds`, outside them. A rejected payload leaves `*work`
+  /// reusable with an empty prefix, and grows nothing beyond the payload's
+  /// own size. Null `bounds` is for descriptors this process encoded itself
+  /// (the lineage ledger's records).
   static bool DecodeStolenWork(const std::vector<uint8_t>& bytes,
+                               const StolenWorkBounds* bounds,
                                SubgraphEnumerator::StolenWork* work);
+
+ private:
+  /// Reads the words and push records of a subgraph without rebuilding its
+  /// bitsets; checks that the records account for every word.
+  static bool DecodeWords(ByteReader* reader, Subgraph* subgraph);
+  /// Whether every id of decoded `work` falls inside `bounds`.
+  static bool WithinBounds(const SubgraphEnumerator::StolenWork& work,
+                           const StolenWorkBounds& bounds);
+  /// Restores the bitsets of decoded words (the quick code stays stale:
+  /// consumers call RebuildQuickCode).
+  static void FinishDecode(Subgraph* subgraph);
 };
 
 }  // namespace fractal

@@ -122,8 +122,8 @@ uint32_t LineageLedger::PrepareSalvage(uint32_t crashed_worker,
     if (record.victim == kNoVictim) continue;
     if (((crashed_workers_mask_ >> record.victim) & 1) == 0) continue;
     PendingExclusion entry;
-    FRACTAL_CHECK(SubgraphCodec::DecodeStolenWork(record.descriptor,
-                                                  &entry.work))
+    FRACTAL_CHECK(SubgraphCodec::DecodeStolenWork(
+                      record.descriptor, /*bounds=*/nullptr, &entry.work))
         << "corrupted lineage descriptor";
     entry.hash = DescriptorHash(entry.work.prefix, entry.work.extension,
                                 entry.work.primitive_index);
@@ -178,7 +178,8 @@ uint32_t LineageLedger::PrepareSalvage(uint32_t crashed_worker,
       continue;
     }
     SubgraphEnumerator::StolenWork work;
-    FRACTAL_CHECK(SubgraphCodec::DecodeStolenWork(record.descriptor, &work))
+    FRACTAL_CHECK(SubgraphCodec::DecodeStolenWork(record.descriptor,
+                                                  /*bounds=*/nullptr, &work))
         << "corrupted lineage descriptor";
     work.lineage_id = id;
     replay_ids_.push_back(id);

@@ -171,6 +171,11 @@ class LineageLedger {
     return replay_work_[index];
   }
 
+  /// Replay roots of the current salvage pass (attempt-frozen).
+  uint32_t num_replay_roots() const {
+    return static_cast<uint32_t>(replay_work_.size());
+  }
+
   /// Work units stamped complete so far (the salvageable watermark).
   uint64_t completed_units() const {
     return completed_units_.load(std::memory_order_relaxed);

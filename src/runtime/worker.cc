@@ -238,6 +238,10 @@ bool Worker::ClaimExternalWork(ThreadContext& t,
   const uint64_t live_mask = cluster_->step_.live_mask;
   FaultInjector* injector = cluster_->control_.injector;
   const uint32_t max_attempts = std::max<uint32_t>(1, net.max_steal_retries);
+  StolenWorkBounds bounds = cluster_->step_.task->StealBounds();
+  if (const LineageLedger* lineage = cluster_->step_.lineage) {
+    bounds.num_replay_roots = lineage->num_replay_roots();
+  }
   for (uint32_t offset = 1; offset < num_workers; ++offset) {
     const uint32_t victim = (worker_id_ + offset) % num_workers;
     if (((live_mask >> victim) & 1) == 0) continue;  // dead before the step
@@ -258,8 +262,13 @@ bool Worker::ClaimExternalWork(ThreadContext& t,
         obs::StealRttHistogram().Record(
             static_cast<uint64_t>(rtt_timer.ElapsedMicros()));
         WallTimer decode_timer;
-        if (!SubgraphCodec::DecodeStolenWork(reply.payload, out)) {
-          FRACTAL_CHECK(false) << "corrupted stolen-work payload";
+        if (!SubgraphCodec::DecodeStolenWork(reply.payload, &bounds, out)) {
+          // Malformed, or ids outside this step's graph and plan: nothing
+          // executable arrived, so this is a failed steal, like a request
+          // lost in flight. Try the next victim.
+          obs::PayloadsRejectedCounter().Add(1);
+          FRACTAL_TRACE_INSTANT("worker/payload_rejected", victim);
+          break;
         }
         obs::DecodeTimeHistogram().Record(
             static_cast<uint64_t>(decode_timer.ElapsedNanos()));

@@ -30,6 +30,7 @@
 
 #include "enumerate/enumerator.h"
 #include "obs/metrics.h"
+#include "runtime/codec.h"
 #include "runtime/fault.h"
 #include "runtime/telemetry.h"
 #include "util/hot_annotations.h"
@@ -144,6 +145,12 @@ class StepTask {
   /// Called once per thread after its steal loop ends: flush per-thread
   /// counters (e.g. extension tests) into `t.stats`.
   virtual void FinishThread(ThreadContext& t) = 0;
+
+  /// Id ranges of the step's graph and plan that work shipped in from
+  /// another worker must fall in (the thief rejects anything else). A task
+  /// that never fills its frames ships no work, and the default admits
+  /// none.
+  virtual StolenWorkBounds StealBounds() const { return {}; }
 };
 
 /// One simulated worker process: `C` persistent execution threads and the

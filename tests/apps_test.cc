@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "apps/cliques.h"
 #include "apps/fsm.h"
@@ -11,6 +14,7 @@
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
 #include "tests/brute_force.h"
+#include "util/random.h"
 
 namespace fractal {
 namespace {
@@ -197,6 +201,74 @@ TEST(FsmTest, MatchesBruteForceOnRandomLabeledGraphs) {
         EXPECT_EQ(got.at(pattern), mni) << pattern.ToString();
       }
     }
+  }
+}
+
+// A sparse graph in a 2^20-vertex id space: a few hundred non-isolated
+// vertices scattered over the ids. Supports must match the oracles, and the
+// MNI domains must stay runs sized by the embeddings, far below the |V|/8
+// bytes of a bitmap.
+TEST(FsmTest, SparseIdSpaceKeepsDomainsSmall) {
+  constexpr uint32_t kIdSpace = 1u << 20;
+  constexpr uint32_t kActive = 240;
+  constexpr uint32_t kEdges = 150;
+  SplitMix64 rng(97);
+  std::vector<VertexId> active;
+  std::set<VertexId> chosen;
+  while (chosen.size() < kActive) {
+    const auto v = static_cast<VertexId>(rng.NextBounded(kIdSpace));
+    if (chosen.insert(v).second) active.push_back(v);
+  }
+  std::vector<Label> labels(kIdSpace, 0);
+  for (const VertexId v : active) labels[v] = rng.NextBounded(2);
+  GraphBuilder builder;
+  for (uint32_t v = 0; v < kIdSpace; ++v) builder.AddVertex(labels[v]);
+  std::set<std::pair<VertexId, VertexId>> edges;
+  while (edges.size() < kEdges) {
+    // Endpoints from a 60-vertex core keep 2- and 3-edge patterns frequent.
+    VertexId u = active[rng.NextBounded(60)];
+    VertexId v = active[rng.NextBounded(kActive)];
+    if (u == v) continue;
+    if (u > v) std::swap(u, v);
+    if (edges.emplace(u, v).second) builder.AddEdge(u, v);
+  }
+  const Graph g = std::move(builder).Build();
+  ASSERT_EQ(g.NumVertices(), kIdSpace);
+
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  const FsmResult result =
+      RunFsm(graph, /*min_support=*/2, /*max_edges=*/3, SmallCluster());
+  const std::map<Pattern, uint64_t> got(result.frequent.begin(),
+                                        result.frequent.end());
+  EXPECT_EQ(got, brute::FsmFrequentPatterns(g, 2, 3));
+  const auto tuned = baselines::TunedFsm(g, 2, 3);
+  const std::map<Pattern, uint64_t> tuned_sorted(tuned.begin(), tuned.end());
+  EXPECT_EQ(got, tuned_sorted);
+  ASSERT_GT(result.iterations, 2u);
+
+  // Every 3-edge pattern's domains, as the FSM aggregation builds them.
+  const ExecutionResult execution =
+      graph.EFractoid()
+          .Expand(3)
+          .AggregateByPattern<DomainSupport>(
+              "support", DomainSupport(1, kIdSpace),
+              [](DomainSupport& support, const Subgraph& subgraph,
+                 const CanonicalResult& canonical, Computation&) {
+                support.AddEmbedding(subgraph, canonical);
+              },
+              [](DomainSupport& into, DomainSupport&& from) {
+                into.Merge(std::move(from));
+              })
+          .Execute(SmallCluster());
+  ASSERT_TRUE(execution.status.ok()) << execution.status;
+  const auto& storage =
+      execution.Aggregation<Pattern, DomainSupport, PatternHash>("support");
+  ASSERT_GT(storage.NumEntries(), 0u);
+  for (const auto& [pattern, support] : storage.entries()) {
+    EXPECT_LT(support.ApproxBytes(),
+              pattern.NumVertices() * (kIdSpace / 8) / 32)
+        << pattern.ToString();
   }
 }
 

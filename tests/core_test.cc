@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "apps/cliques.h"
 #include "apps/fsm.h"
@@ -516,19 +517,30 @@ TEST(AggregationStorageTest, ApproxBytesCountsHeapOwnedByEntries) {
   EXPECT_EQ(HeapBytesOf(Pattern::Clique(Pattern::kInlineVertices)), 0u);
   EXPECT_GT(HeapBytesOf(Pattern::PathPattern(12)), 0u);
 
-  // FSM's DomainSupport values own hash-set domains: the heap-owning entry
-  // the memory drilldowns (Table 2) must not undercount.
+  // FSM's DomainSupport values own their vertex-set domains: the
+  // heap-owning entry the memory drilldowns (Table 2) must not undercount.
+  // Each value holds the four triangles of K4, several distinct embeddings
+  // per domain.
   const Graph g = testgraphs::Complete(4);
   Computation comp(&g);
-  Subgraph triangle;
-  for (VertexId v = 0; v < 3; ++v) triangle.PushVertexInduced(g, v);
+  std::vector<Subgraph> triangles;
+  for (VertexId skip = 0; skip < 4; ++skip) {
+    Subgraph triangle;
+    for (VertexId v = 0; v < 4; ++v) {
+      if (v != skip) triangle.PushVertexInduced(g, v);
+    }
+    triangles.push_back(triangle);
+  }
+  const Subgraph& triangle = triangles[0];
   const CanonicalResult canonical = CanonicalForm(triangle.QuickPattern(g));
   uint64_t next_key = 0;
   AggregationStorage<uint64_t, DomainSupport> storage(
       [&next_key](const Subgraph&, Computation&) { return next_key++; },
-      [&canonical](const Subgraph& subgraph, Computation&) {
-        DomainSupport support(1);
-        support.AddEmbedding(subgraph, canonical);
+      [&canonical, &triangles, &g](const Subgraph&, Computation&) {
+        DomainSupport support(1, g.NumVertices());
+        for (const Subgraph& embedding : triangles) {
+          support.AddEmbedding(embedding, canonical);
+        }
         return support;
       },
       [](DomainSupport& into, DomainSupport&& from) {

@@ -1,8 +1,8 @@
 // End-to-end check of the hot-path allocation discipline (DESIGN.md §9):
 // after the per-step warm-up, full-cluster runs of the vertex-induced,
 // edge-induced, KClist and pattern-induced strategies, of Listing 2's
-// triangles, of SEED q2/q6, and of motif counting's pattern aggregation,
-// perform ZERO heap allocations in their steady-state DFS regions — edge
+// triangles, of SEED q2/q6, of motif counting's pattern aggregation and of
+// FSM's in-place MNI domains, perform ZERO heap allocations in their steady-state DFS regions — edge
 // rows included. FractoidStepTask arms an AllocGuard around each
 // extension once a thread has consumed AllocGuard::warmup_units() work units
 // in the step; these tests crank the global mode to kCount (assert the
@@ -13,9 +13,11 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #include "apps/cliques.h"
+#include "apps/fsm.h"
 #include "apps/motifs.h"
 #include "apps/queries.h"
 #include "core/context.h"
@@ -281,6 +283,66 @@ TEST_F(HotPathTest, PatternQueriesCompleteUnderAbortMode) {
   const QueryCounts aborted_mode = RunQueries(g, SmallCluster());
   AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
   EXPECT_EQ(aborted_mode, expected);
+}
+
+// FSM (Listing 3): three steps of edge-induced extension, each folding every
+// embedding into its pattern's MNI domains in place. After a pattern's first
+// embedding in a storage, a domain allocates only when a run outgrows its
+// buffer or is promoted to a bitmap (the audited growth escape), so the
+// guarded regions stay allocation-free. The 2x2 cluster steals internally
+// and through the codec (WS_ext is on by default).
+FsmResult RunLabeledFsm(const Graph& g, const ExecutionConfig& config) {
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  return RunFsm(graph, /*min_support=*/20, /*max_edges=*/3, config);
+}
+
+std::map<Pattern, uint64_t> Supports(const FsmResult& result) {
+  std::map<Pattern, uint64_t> supports;
+  for (const auto& [pattern, support] : result.frequent) {
+    supports.emplace(pattern, support);
+  }
+  return supports;
+}
+
+Graph LabeledFsmGraph() {
+  return GenerateRandomGraph(/*num_vertices=*/300, /*num_edges=*/1500,
+                             /*num_vertex_labels=*/3, /*num_edge_labels=*/1,
+                             /*seed=*/31);
+}
+
+TEST_F(HotPathTest, FsmIsAllocationFreeUnderCountMode) {
+  const Graph g = LabeledFsmGraph();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const FsmResult expected = RunLabeledFsm(g, SmallCluster());
+  ASSERT_EQ(expected.iterations, 3u);
+  ASSERT_GT(expected.frequent.size(), 3u);
+
+  const uint64_t work_before = obs::WorkUnitsCounter().Value();
+  const uint64_t guarded_before = AllocGuard::TotalGuardedAllocations();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kCount);
+  const FsmResult counted = RunLabeledFsm(g, SmallCluster());
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const uint64_t guarded = AllocGuard::TotalGuardedAllocations() -
+                           guarded_before;
+  const uint64_t work = obs::WorkUnitsCounter().Value() - work_before;
+
+  EXPECT_EQ(Supports(counted), Supports(expected));
+  // Three steps on 4 threads, each thread well past warm-up in the last.
+  ASSERT_GT(work, 4 * 4 * AllocGuard::warmup_units());
+  EXPECT_EQ(guarded, 0u)
+      << "steady-state heap allocations on the FSM aggregation path";
+}
+
+TEST_F(HotPathTest, FsmCompletesUnderAbortMode) {
+  const Graph g = LabeledFsmGraph();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const FsmResult expected = RunLabeledFsm(g, SmallCluster());
+
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kAbort);
+  const FsmResult aborted_mode = RunLabeledFsm(g, SmallCluster());
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  EXPECT_EQ(Supports(aborted_mode), Supports(expected));
 }
 
 TEST_F(HotPathTest, ScratchMissesDependOnShapeNotWorkVolume) {

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "apps/cliques.h"
@@ -639,12 +640,12 @@ TEST(DomainSupportTest, SingleEmbeddingAndMerge) {
   s.PushEdgeInduced(g, 0);
   const CanonicalResult canonical = CanonicalForm(s.QuickPattern(g));
 
-  DomainSupport a(2);
+  DomainSupport a(2, g.NumVertices());
   a.AddEmbedding(s, canonical);
   EXPECT_EQ(a.Support(), 1u);
   EXPECT_FALSE(a.HasEnoughSupport());
 
-  DomainSupport b2(2);
+  DomainSupport b2(2, g.NumVertices());
   b2.AddEmbedding(s, canonical);
   a.Merge(std::move(b2));
   EXPECT_EQ(a.Support(), 1u);  // same vertices: domains don't grow
@@ -664,7 +665,7 @@ TEST(DomainSupportTest, DistinctEmbeddingsGrowDomains) {
   const EdgeId e2 = builder.AddEdge(2, 3);
   const Graph g = std::move(builder).Build();
 
-  DomainSupport support(2);
+  DomainSupport support(2, g.NumVertices());
   for (const EdgeId e : {e0, e2}) {
     Subgraph s;
     s.PushEdgeInduced(g, e);
@@ -672,6 +673,164 @@ TEST(DomainSupportTest, DistinctEmbeddingsGrowDomains) {
   }
   EXPECT_EQ(support.Support(), 2u);
   EXPECT_TRUE(support.HasEnoughSupport());
+}
+
+// Random embeddings of a 3-vertex path (orbits {ends}, {center}) into a long
+// path graph, against a std::set model of each orbit's domain. With 2048
+// vertices a domain is promoted from a run to a 32-word bitmap at about 64
+// distinct ids, so sets of a few hundred ids cross the boundary and sets of
+// a dozen stay runs.
+class DomainSupportModelTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kNumVertices = 2048;
+
+  struct Model {
+    std::set<VertexId> ends;
+    std::set<VertexId> center;
+
+    uint64_t Support() const {
+      return ends.empty() ? 0 : std::min(ends.size(), center.size());
+    }
+  };
+
+  DomainSupportModelTest() {
+    GraphBuilder builder;
+    for (uint32_t v = 0; v < kNumVertices; ++v) builder.AddVertex(0);
+    for (uint32_t v = 0; v + 1 < kNumVertices; ++v) builder.AddEdge(v, v + 1);
+    graph_ = std::move(builder).Build();
+    const Subgraph path = PathAt(0);
+    canonical_ = CanonicalForm(path.QuickPattern(graph_));
+  }
+
+  Subgraph PathAt(VertexId first) const {
+    Subgraph path;
+    for (VertexId v = first; v < first + 3; ++v) {
+      path.PushVertexInduced(graph_, v);
+    }
+    return path;
+  }
+
+  /// Adds `count` random paths starting below `span` to both, checking the
+  /// support after every embedding.
+  void AddRandom(uint32_t count, uint32_t span, SplitMix64& rng,
+                 DomainSupport* support, Model* model) const {
+    for (uint32_t i = 0; i < count; ++i) {
+      const VertexId first = static_cast<VertexId>(rng.NextBounded(span));
+      support->AddEmbedding(PathAt(first), canonical_);
+      model->ends.insert({first, first + 2});
+      model->center.insert(first + 1);
+      ASSERT_EQ(support->Support(), model->Support()) << "embedding " << i;
+    }
+  }
+
+  Graph graph_;
+  CanonicalResult canonical_;
+};
+
+TEST_F(DomainSupportModelTest, OrbitClosureSharesTheEndsDomain) {
+  // The two ends of the path are automorphic: one domain holds both.
+  EXPECT_EQ(canonical_.orbit[canonical_.permutation[0]],
+            canonical_.orbit[canonical_.permutation[2]]);
+  EXPECT_NE(canonical_.orbit[canonical_.permutation[0]],
+            canonical_.orbit[canonical_.permutation[1]]);
+  DomainSupport support(1, kNumVertices);
+  support.AddEmbedding(PathAt(10), canonical_);
+  support.AddEmbedding(PathAt(12), canonical_);
+  // ends {10, 12, 14}, center {11, 13}.
+  EXPECT_EQ(support.Support(), 2u);
+}
+
+TEST_F(DomainSupportModelTest, AddsMatchTheModelAcrossPromotion) {
+  SplitMix64 rng(7);
+  DomainSupport support(1, kNumVertices);
+  Model model;
+  // Dense at first (many duplicates in a small range), then spread out, so
+  // the run compacts several times before it is promoted.
+  AddRandom(200, 40, rng, &support, &model);
+  AddRandom(1500, kNumVertices - 2, rng, &support, &model);
+  ASSERT_GT(model.center.size(), 4 * kNumVertices / 32);
+  // Both domains were promoted: the center's run alone would hold more.
+  EXPECT_LT(support.ApproxHeapBytes(),
+            model.center.size() * sizeof(VertexId));
+}
+
+TEST_F(DomainSupportModelTest, EveryMergePairingMatchesTheModel) {
+  // Small sets stay runs; large ones are promoted to bitmaps.
+  struct Side {
+    uint32_t count;
+    uint32_t span;
+  };
+  const Side small{12, 200};
+  const Side large{600, kNumVertices - 2};
+  const Side pairings[][2] = {
+      {small, small}, {small, large}, {large, small}, {large, large}};
+  uint64_t seed = 100;
+  for (const auto& pairing : pairings) {
+    SplitMix64 rng(++seed);
+    DomainSupport into(1, kNumVertices);
+    DomainSupport from(2, kNumVertices);
+    Model into_model;
+    Model from_model;
+    AddRandom(pairing[0].count, pairing[0].span, rng, &into, &into_model);
+    AddRandom(pairing[1].count, pairing[1].span, rng, &from, &from_model);
+    into.Merge(std::move(from));
+    into_model.ends.insert(from_model.ends.begin(), from_model.ends.end());
+    into_model.center.insert(from_model.center.begin(),
+                             from_model.center.end());
+    ASSERT_EQ(into.Support(), into_model.Support())
+        << "pairing " << pairing[0].count << "+" << pairing[1].count;
+    EXPECT_EQ(into.threshold(), 2u);
+    // The merged set keeps accumulating correctly.
+    AddRandom(50, kNumVertices - 2, rng, &into, &into_model);
+  }
+  // Two runs whose union crosses the promotion threshold.
+  SplitMix64 rng(++seed);
+  DomainSupport a(1, kNumVertices);
+  DomainSupport b(1, kNumVertices);
+  Model a_model;
+  Model b_model;
+  AddRandom(40, 400, rng, &a, &a_model);
+  for (uint32_t first = 600; first < 900; first += 4) {
+    b.AddEmbedding(PathAt(first), canonical_);
+    b_model.ends.insert({first, first + 2});
+    b_model.center.insert(first + 1);
+  }
+  a.Merge(std::move(b));
+  a_model.ends.insert(b_model.ends.begin(), b_model.ends.end());
+  a_model.center.insert(b_model.center.begin(), b_model.center.end());
+  EXPECT_EQ(a.Support(), a_model.Support());
+}
+
+TEST_F(DomainSupportModelTest, MergeIsOrderInsensitive) {
+  // The reduce function's contract (core/aggregation.h): any merge order of
+  // the same parts gives the same support.
+  std::vector<std::vector<VertexId>> parts(5);
+  SplitMix64 rng(31);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    const uint32_t count = i % 2 == 0 ? 8 : 300;
+    for (uint32_t j = 0; j < count; ++j) {
+      parts[i].push_back(static_cast<VertexId>(rng.NextBounded(
+          kNumVertices - 2)));
+    }
+  }
+  auto build = [&](const std::vector<VertexId>& starts) {
+    DomainSupport support(1, kNumVertices);
+    for (const VertexId first : starts) {
+      support.AddEmbedding(PathAt(first), canonical_);
+    }
+    return support;
+  };
+  std::vector<size_t> order(parts.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::optional<uint64_t> expected;
+  do {
+    DomainSupport merged = build(parts[order[0]]);
+    for (size_t i = 1; i < order.size(); ++i) {
+      merged.Merge(build(parts[order[i]]));
+    }
+    if (!expected) expected = merged.Support();
+    ASSERT_EQ(merged.Support(), *expected);
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 TEST(StepCachingTest, ReExecutionSkipsEverythingWhenFinalIsAggregate) {

@@ -59,6 +59,9 @@ class ReferenceEdgeInducedStrategy : public ExtensionStrategy {
   void SearchRow(const Graph& graph, const Subgraph& subgraph,
                  uint32_t extension,
                  std::vector<EdgeId>* row) const override;
+  uint32_t NumExtensionIds(const Graph& graph) const override {
+    return graph.NumEdges();
+  }
 
  private:
   void Scan(const Graph& graph, const Subgraph& subgraph,

@@ -11,10 +11,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include "apps/cliques.h"
+#include "apps/fsm.h"
 #include "apps/motifs.h"
 #include "core/context.h"
 #include "graph/generators.h"
@@ -442,6 +444,40 @@ TEST(SalvageTest, SalvagedMotifsAndCliquesBitExact) {
 
     EXPECT_EQ(CountCliques(graph, 4, salvage),
               CountCliques(graph, 4, baseline));
+  }
+}
+
+// FSM under salvage: replayed tasks fold their embeddings into task-scratch
+// MNI domains that commit into the thread's by set union, so the supports
+// must come out exactly as in a fault-free run whatever was replayed where.
+TEST(SalvageTest, SalvagedFsmSupportsBitExact) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    FractalContext fctx;
+    FractalGraph graph =
+        fctx.FromGraph(GenerateRandomGraph(40, 120, 2, 1, seed * 5 + 3));
+    ExecutionConfig baseline;
+    baseline.num_workers = 3;
+    baseline.threads_per_worker = 2;
+    baseline.network.latency_micros = 1;
+
+    ExecutionConfig salvage = baseline;
+    salvage.fault_plan = FaultPlan().CrashWorker(
+        static_cast<int32_t>(seed % 3), 10 + seed * 10);
+    salvage.retry.mode = RetryPolicy::Mode::kSalvage;
+    SCOPED_TRACE("seed " + std::to_string(seed) + " plan '" +
+                 salvage.fault_plan.ToString() + "'");
+
+    const FsmResult clean = RunFsm(graph, 2, 3, baseline);
+    const uint64_t replayed_before = obs::UnitsReplayedCounter().Value();
+    const FsmResult salvaged = RunFsm(graph, 2, 3, salvage);
+    ASSERT_GT(clean.frequent.size(), 0u);
+    // The crash fired and a salvage pass replayed part of a step.
+    EXPECT_GT(obs::UnitsReplayedCounter().Value(), replayed_before);
+    const std::map<Pattern, uint64_t> expected(clean.frequent.begin(),
+                                               clean.frequent.end());
+    const std::map<Pattern, uint64_t> got(salvaged.frequent.begin(),
+                                          salvaged.frequent.end());
+    EXPECT_EQ(got, expected);
   }
 }
 

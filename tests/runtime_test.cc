@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <map>
 #include <thread>
+#include <vector>
 
 #include "apps/queries.h"
 #include "core/context.h"
@@ -65,7 +67,7 @@ TEST(CodecTest, StolenWorkRoundTrip) {
 
   const std::vector<uint8_t> bytes = SubgraphCodec::EncodeStolenWork(work);
   SubgraphEnumerator::StolenWork decoded;
-  ASSERT_TRUE(SubgraphCodec::DecodeStolenWork(bytes, &decoded));
+  ASSERT_TRUE(SubgraphCodec::DecodeStolenWork(bytes, nullptr, &decoded));
   EXPECT_EQ(decoded.prefix, work.prefix);
   EXPECT_EQ(decoded.extension, 4u);
   EXPECT_EQ(decoded.primitive_index, 2u);
@@ -160,7 +162,7 @@ void CheckThiefPushesMatchOwner(const Graph& g,
 
       SubgraphEnumerator::StolenWork shipped;
       ASSERT_TRUE(SubgraphCodec::DecodeStolenWork(
-          SubgraphCodec::EncodeStolenWork(work), &shipped));
+          SubgraphCodec::EncodeStolenWork(work), nullptr, &shipped));
       Subgraph external = shipped.prefix;
       strategy.ApplyBySearch(g, shipped.extension, &external, ctx.arena);
       ASSERT_EQ(edges(external), edges(owner)) << owner.ToString();
@@ -240,15 +242,17 @@ TEST(CodecTest, RejectsCorruptedPayloads) {
   SubgraphEnumerator::StolenWork decoded;
   // Truncated payload.
   std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 3);
-  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(truncated, &decoded));
+  EXPECT_FALSE(
+      SubgraphCodec::DecodeStolenWork(truncated, nullptr, &decoded));
   // Trailing garbage.
   std::vector<uint8_t> padded = bytes;
   padded.push_back(0);
-  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(padded, &decoded));
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(padded, nullptr, &decoded));
   // Inconsistent structure: claim 2 vertices but records say 1.
   std::vector<uint8_t> inconsistent = bytes;
   inconsistent[0] = 2;
-  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(inconsistent, &decoded));
+  EXPECT_FALSE(
+      SubgraphCodec::DecodeStolenWork(inconsistent, nullptr, &decoded));
 }
 
 TEST(CodecTest, RejectsOversizedCountBeforeAllocating) {
@@ -264,7 +268,7 @@ TEST(CodecTest, RejectsOversizedCountBeforeAllocating) {
   uint64_t allocations = 0;
   {
     AllocGuard guard(AllocGuard::Mode::kCount);
-    ok = SubgraphCodec::DecodeStolenWork(bytes, &decoded);
+    ok = SubgraphCodec::DecodeStolenWork(bytes, nullptr, &decoded);
     allocations = guard.allocations();
   }
   EXPECT_FALSE(ok);
@@ -272,6 +276,164 @@ TEST(CodecTest, RejectsOversizedCountBeforeAllocating) {
     EXPECT_EQ(allocations, 0u);
   }
   EXPECT_EQ(decoded.prefix.NumVertices(), 0u);
+}
+
+// A payload whose ids fall outside the step's graph or plan is rejected
+// before the prefix bitsets are rebuilt (a vertex id of 0xFFFFFFFF would
+// grow them by 512 MB) and before anything searches adjacency by it. The
+// rejection allocates nothing, and the same StolenWork then decodes a good
+// payload exactly.
+TEST(CodecTest, RejectsIdsOutsideTheStepBounds) {
+  const Graph g = testgraphs::Complete(5);
+  SubgraphEnumerator::StolenWork work;
+  work.prefix.PushVertexInduced(g, 1);
+  work.prefix.PushVertexInduced(g, 3);
+  work.extension = 4;
+  work.primitive_index = 3;  // after the third E of an E-E-E plan
+  work.lineage_id = 9;
+  const std::vector<uint8_t> good = SubgraphCodec::EncodeStolenWork(work);
+  const uint32_t expansions_before[] = {0, 1, 2, 3};
+  StolenWorkBounds bounds;
+  bounds.num_vertices = g.NumVertices();
+  bounds.num_edges = g.NumEdges();
+  bounds.num_extensions = g.NumVertices();
+  bounds.expansions_before = expansions_before;
+  bounds.num_replay_roots = 2;
+
+  // Byte offsets from the pinned wire format above.
+  auto with = [&good](size_t offset, uint32_t value) {
+    std::vector<uint8_t> bytes = good;
+    for (int shift = 0; shift < 32; shift += 8) {
+      bytes[offset++] = static_cast<uint8_t>(value >> shift);
+    }
+    return bytes;
+  };
+  const std::vector<std::vector<uint8_t>> crafted = {
+      with(4, 0xFFFFFFFFu),           // vertex id
+      with(8, g.NumVertices()),       // vertex id, one past the end
+      with(16, g.NumEdges()),         // edge id
+      with(28, g.NumVertices()),      // extension
+      with(32, 4),                    // primitive index past the plan
+      with(32, 2),                    // primitive index of a shallower frame
+      with(32, kReplayRootPrimitive)  // replay root with a prefix
+  };
+  SubgraphEnumerator::StolenWork decoded;
+  ASSERT_TRUE(SubgraphCodec::DecodeStolenWork(good, &bounds, &decoded));
+  for (size_t i = 0; i < crafted.size(); ++i) {
+    bool ok = true;
+    uint64_t allocations = 0;
+    {
+      AllocGuard guard(AllocGuard::Mode::kCount);
+      ok = SubgraphCodec::DecodeStolenWork(crafted[i], &bounds, &decoded);
+      allocations = guard.allocations();
+    }
+    EXPECT_FALSE(ok) << "payload " << i;
+    if (AllocGuard::Active()) {
+      EXPECT_EQ(allocations, 0u) << "payload " << i;
+    }
+    EXPECT_TRUE(decoded.prefix.Empty()) << "payload " << i;
+    // Untrusted or not, the words are well formed: without bounds they
+    // decode.
+    if (i > 0) {
+      SubgraphEnumerator::StolenWork unchecked;
+      EXPECT_TRUE(
+          SubgraphCodec::DecodeStolenWork(crafted[i], nullptr, &unchecked));
+    }
+  }
+  ASSERT_TRUE(SubgraphCodec::DecodeStolenWork(good, &bounds, &decoded));
+  EXPECT_EQ(decoded.prefix, work.prefix);
+  EXPECT_EQ(decoded.extension, work.extension);
+  EXPECT_EQ(decoded.primitive_index, work.primitive_index);
+
+  // Replay roots: an empty prefix naming a replay index of this pass.
+  SubgraphEnumerator::StolenWork replay;
+  replay.primitive_index = kReplayRootPrimitive;
+  replay.extension = 1;
+  EXPECT_TRUE(SubgraphCodec::DecodeStolenWork(
+      SubgraphCodec::EncodeStolenWork(replay), &bounds, &decoded));
+  replay.extension = 2;
+  EXPECT_FALSE(SubgraphCodec::DecodeStolenWork(
+      SubgraphCodec::EncodeStolenWork(replay), &bounds, &decoded));
+}
+
+/// Worker 0's only frame holds extensions outside the step's bounds, which
+/// its steal service ships to worker 1 like any claim. Every root is
+/// ordinary work drained by its owner.
+class HostileFrameTask : public StepTask {
+ public:
+  static constexpr uint32_t kBound = 16;
+  static constexpr uint32_t kHostile = 6;
+
+  void DrainRoots(ThreadContext& t, std::vector<uint32_t> roots) override {
+    SubgraphEnumerator& frame = *t.frames[0];
+    if (t.worker_id == 0) {
+      std::vector<uint32_t> hostile;
+      for (uint32_t i = 0; i < kHostile; ++i) hostile.push_back(kBound + i);
+      frame.Refill(Subgraph(), /*primitive_index=*/1, std::move(hostile), {});
+    }
+    for (const uint32_t root : roots) {
+      if (root >= kBound || !t.ConsumeWorkUnit()) return;
+      drained_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (t.worker_id == 0) {
+      // Hold the step open until the thief has claimed every hostile entry.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (frame.LooksNonEmpty() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      frame.Deactivate();
+    }
+  }
+  void ProcessStolen(ThreadContext&,
+                     const SubgraphEnumerator::StolenWork&) override {
+    stolen_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void FinishThread(ThreadContext&) override {}
+  StolenWorkBounds StealBounds() const override {
+    StolenWorkBounds bounds;
+    bounds.num_vertices = kBound;
+    bounds.num_edges = kBound;
+    bounds.num_extensions = kBound;
+    bounds.expansions_before = expansions_before_;
+    return bounds;
+  }
+
+  uint64_t drained() const { return drained_.load(); }
+  uint64_t stolen() const { return stolen_.load(); }
+
+ private:
+  const uint32_t expansions_before_[2] = {0, 1};
+  std::atomic<uint64_t> drained_{0};
+  std::atomic<uint64_t> stolen_{0};
+};
+
+TEST(ExternalStealTest, RejectedPayloadsLoseNoWork) {
+  ClusterOptions options;
+  options.num_workers = 2;
+  options.threads_per_worker = 1;
+  options.external_work_stealing = true;
+  options.network.latency_micros = 0;
+  options.network.per_kb_micros = 0;
+  Cluster cluster(options);
+  HostileFrameTask task;
+  std::vector<uint32_t> roots;
+  for (uint32_t r = 0; r < HostileFrameTask::kBound; ++r) roots.push_back(r);
+
+  const uint64_t rejected_before = obs::PayloadsRejectedCounter().Value();
+  Cluster::StepOptions step;
+  step.num_levels = 1;
+  const Cluster::StepResult result = cluster.RunStep(task, roots, step);
+  ASSERT_TRUE(result.ok());
+  // Every hostile entry was shipped and rejected: none was executed.
+  EXPECT_EQ(obs::PayloadsRejectedCounter().Value() - rejected_before,
+            HostileFrameTask::kHostile);
+  EXPECT_EQ(task.stolen(), 0u);
+  EXPECT_EQ(result.telemetry.TotalExternalSteals(), 0u);
+  // Every root ran exactly once.
+  EXPECT_EQ(task.drained(), HostileFrameTask::kBound);
+  EXPECT_EQ(result.telemetry.TotalWorkUnits(), HostileFrameTask::kBound);
 }
 
 TEST(MessageBusTest, RequestReplyRoundTrip) {
