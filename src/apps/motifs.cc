@@ -7,12 +7,7 @@
 namespace fractal {
 
 Fractoid AggregateMotifs(const Fractoid& fractoid, const std::string& name) {
-  return fractoid.AggregateByPattern<uint64_t>(
-      name, /*zero=*/0,
-      /*add_fn=*/
-      [](uint64_t& count, const Subgraph&, const CanonicalResult&,
-         Computation&) { ++count; },
-      /*reduce_fn=*/[](uint64_t& into, uint64_t&& from) { into += from; });
+  return fractoid.CountByPattern(name);
 }
 
 Fractoid MotifsFractoid(const FractalGraph& graph, uint32_t k) {

@@ -22,8 +22,8 @@ struct MotifsResult {
 };
 
 /// Appends Listing 1's aggregation — canonical pattern -> 1, summed — to
-/// `fractoid` under `name`, reduced by pattern id (Fractoid::
-/// AggregateByPattern).
+/// `fractoid` under `name`, counted by pattern id (Fractoid::
+/// CountByPattern).
 Fractoid AggregateMotifs(const Fractoid& fractoid,
                          const std::string& name = "motifs");
 

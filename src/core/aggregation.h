@@ -15,7 +15,9 @@
 // is built. Slots are folded into the Pattern map when storages of
 // different threads merge and at the step barrier (Seal), while the
 // threads' Computations are alive (DESIGN.md §8 "Quick codes and pattern
-// ids").
+// ids"). A storage that only counts per pattern (Fractoid::CountByPattern)
+// also takes a whole group of subgraphs sharing one quick pattern at once
+// (AccumulateCount, DESIGN.md §8 "Leaf batches").
 #ifndef FRACTAL_CORE_AGGREGATION_H_
 #define FRACTAL_CORE_AGGREGATION_H_
 
@@ -103,6 +105,19 @@ class AggregationStorageBase {
 
   /// Maps `subgraph` to a key/value entry and reduces it in.
   virtual void Accumulate(const Subgraph& subgraph, Computation& comp) = 0;
+
+  /// Whether the storage counts subgraphs per canonical pattern without
+  /// reading them (Fractoid::CountByPattern), so AccumulateCount may stand
+  /// in for Accumulate calls on subgraphs that share a quick pattern.
+  virtual bool CountsByPattern() const { return false; }
+
+  /// Adds `n` subgraphs whose quick pattern is `representative`'s. Only for
+  /// storages that CountsByPattern().
+  virtual void AccumulateCount(const Subgraph& /*representative*/,
+                               Computation& /*comp*/, uint64_t /*n*/) {
+    FRACTAL_CHECK(false) << "AccumulateCount on a storage that reads "
+                            "its subgraphs";
+  }
 
   /// Merges (and consumes) another storage created by the same spec.
   virtual void MergeFrom(AggregationStorageBase& other) = 0;
@@ -292,13 +307,20 @@ class AggregationStorageByPattern
   /// (FSM's MNI domains read the permutation and orbits).
   using AddFn = std::function<void(V& slot, const Subgraph&,
                                    const CanonicalResult&, Computation&)>;
+  /// The counting form of AddFn: folds `n` subgraphs of the slot's pattern
+  /// at once, and sees none of them (Fractoid::CountByPattern).
+  using CountFn = std::function<void(V& slot, uint64_t n)>;
 
-  AggregationStorageByPattern(V zero, AddFn add_fn,
+  AggregationStorageByPattern(V zero, AddFn add_fn, CountFn count_fn,
                               typename Base::ReduceFn reduce_fn,
                               typename Base::PostFilterFn post_filter)
       : Base(nullptr, nullptr, std::move(reduce_fn), std::move(post_filter)),
         zero_(std::move(zero)),
-        add_fn_(std::move(add_fn)) {}
+        add_fn_(std::move(add_fn)),
+        count_fn_(std::move(count_fn)) {
+    FRACTAL_CHECK(static_cast<bool>(add_fn_) != static_cast<bool>(count_fn_))
+        << "a pattern aggregation adds or counts, not both";
+  }
 
   /// One canonicalization, then an in-place add into slots_[id]; a new
   /// slot starts as a copy of `zero`. A storage reads the ids of one
@@ -306,22 +328,17 @@ class AggregationStorageByPattern
   /// folds the slots it holds.
   FRACTAL_HOT void Accumulate(const Subgraph& subgraph,
                               Computation& comp) override {
-    const CanonicalPatternCache* ids = &comp.canonical_cache();
-    if (ids != ids_) {
-      FRACTAL_HOT_ESCAPE("first subgraph of the storage binds its ids");
-      Fold();
-      ids_ = ids;
-    }
-    const CanonicalResult& canonical = comp.CanonicalPattern(subgraph);
-    if (canonical.id < slots_.size() && slots_[canonical.id].has_value()) {
-      add_fn_(*slots_[canonical.id], subgraph, canonical, comp);
-      return;
-    }
-    FRACTAL_HOT_ESCAPE("new pattern id: one slot per distinct canonical "
-                       "pattern per storage");
-    AllocGuard::Allow allow("aggregation new-pattern slot");
-    if (canonical.id >= slots_.size()) slots_.resize(canonical.id + 1);
-    add_fn_(slots_[canonical.id].emplace(zero_), subgraph, canonical, comp);
+    AddTo(subgraph, comp, 1);
+  }
+
+  bool CountsByPattern() const override {
+    return static_cast<bool>(count_fn_);
+  }
+
+  FRACTAL_HOT void AccumulateCount(const Subgraph& representative,
+                                   Computation& comp, uint64_t n) override {
+    FRACTAL_DCHECK(CountsByPattern());
+    AddTo(representative, comp, n);
   }
 
   /// Slot-wise when both storages read the same ids (a lineage task's
@@ -377,6 +394,36 @@ class AggregationStorageByPattern
   }
 
  private:
+  /// Adds `n` subgraphs with `subgraph`'s pattern (n is 1 unless counting).
+  FRACTAL_HOT void AddTo(const Subgraph& subgraph, Computation& comp,
+                         uint64_t n) {
+    const CanonicalPatternCache* ids = &comp.canonical_cache();
+    if (ids != ids_) {
+      FRACTAL_HOT_ESCAPE("first subgraph of the storage binds its ids");
+      Fold();
+      ids_ = ids;
+    }
+    const CanonicalResult& canonical = comp.CanonicalPattern(subgraph);
+    if (canonical.id < slots_.size() && slots_[canonical.id].has_value()) {
+      Add(*slots_[canonical.id], subgraph, canonical, comp, n);
+      return;
+    }
+    FRACTAL_HOT_ESCAPE("new pattern id: one slot per distinct canonical "
+                       "pattern per storage");
+    AllocGuard::Allow allow("aggregation new-pattern slot");
+    if (canonical.id >= slots_.size()) slots_.resize(canonical.id + 1);
+    Add(slots_[canonical.id].emplace(zero_), subgraph, canonical, comp, n);
+  }
+
+  void Add(V& slot, const Subgraph& subgraph, const CanonicalResult& canonical,
+           Computation& comp, uint64_t n) const {
+    if (count_fn_) {
+      count_fn_(slot, n);
+    } else {
+      add_fn_(slot, subgraph, canonical, comp);
+    }
+  }
+
   /// Moves every filled slot into the Pattern map under ids_'s pattern.
   void Fold() {
     for (size_t id = 0; id < slots_.size(); ++id) {
@@ -388,7 +435,9 @@ class AggregationStorageByPattern
   }
 
   V zero_;
+  // Exactly one of the two is set.
   AddFn add_fn_;
+  CountFn count_fn_;
   // The Computation ids the slots are indexed by; null before the first
   // Accumulate or merge and after Seal, and then every slot is empty.
   const CanonicalPatternCache* ids_ = nullptr;
@@ -401,24 +450,28 @@ class AggregationSpecByPattern : public AggregationSpecBase {
  public:
   using Storage = AggregationStorageByPattern<V>;
 
+  /// Exactly one of `add_fn` and `count_fn` is set (see the storage).
   AggregationSpecByPattern(std::string name, V zero,
                            typename Storage::AddFn add_fn,
+                           typename Storage::CountFn count_fn,
                            typename Storage::ReduceFn reduce_fn,
                            typename Storage::PostFilterFn post_filter)
       : AggregationSpecBase(std::move(name)),
         zero_(std::move(zero)),
         add_fn_(std::move(add_fn)),
+        count_fn_(std::move(count_fn)),
         reduce_fn_(std::move(reduce_fn)),
         post_filter_(std::move(post_filter)) {}
 
   std::unique_ptr<AggregationStorageBase> CreateStorage() const override {
-    return std::make_unique<Storage>(zero_, add_fn_, reduce_fn_,
+    return std::make_unique<Storage>(zero_, add_fn_, count_fn_, reduce_fn_,
                                      post_filter_);
   }
 
  private:
   V zero_;
   typename Storage::AddFn add_fn_;
+  typename Storage::CountFn count_fn_;
   typename Storage::ReduceFn reduce_fn_;
   typename Storage::PostFilterFn post_filter_;
 };

@@ -66,6 +66,16 @@ Fractoid Fractoid::WithAggregate(
   return derived;
 }
 
+Fractoid Fractoid::CountByPattern(
+    const std::string& name,
+    AggregationStorageByPattern<uint64_t>::PostFilterFn post_filter) const {
+  return WithAggregate(std::make_shared<AggregationSpecByPattern<uint64_t>>(
+      name, /*zero=*/0, /*add_fn=*/nullptr,
+      /*count_fn=*/[](uint64_t& count, uint64_t n) { count += n; },
+      /*reduce_fn=*/[](uint64_t& into, uint64_t&& from) { into += from; },
+      std::move(post_filter)));
+}
+
 Fractoid Fractoid::Explore(uint32_t times) const {
   Fractoid derived = *this;
   const std::vector<Primitive> fragment = primitives_;

@@ -83,9 +83,20 @@ class Fractoid {
       typename AggregationStorageByPattern<V>::PostFilterFn post_filter =
           nullptr) const {
     return WithAggregate(std::make_shared<AggregationSpecByPattern<V>>(
-        name, std::move(zero), std::move(add_fn), std::move(reduce_fn),
-        std::move(post_filter)));
+        name, std::move(zero), std::move(add_fn), /*count_fn=*/nullptr,
+        std::move(reduce_fn), std::move(post_filter)));
   }
+
+  /// W2 counting subgraphs per canonical pattern (Listing 1's motifs): the
+  /// key is the canonical pattern, the value how many subgraphs have it.
+  /// The count never reads a subgraph, so a step may count leaf candidates
+  /// that share a quick pattern as one group (DESIGN.md §8 "Leaf
+  /// batches"). Results read as Aggregation<Pattern, uint64_t,
+  /// PatternHash>(name).
+  Fractoid CountByPattern(
+      const std::string& name,
+      AggregationStorageByPattern<uint64_t>::PostFilterFn post_filter =
+          nullptr) const;
 
   /// W5: chains the current workflow fragment `times` more times
   /// (Explore(0) is the identity). Keeps iterative applications concise —

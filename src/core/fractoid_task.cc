@@ -1,6 +1,7 @@
 #include "core/fractoid_task.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -9,6 +10,60 @@
 #include "util/check.h"
 
 namespace fractal {
+namespace {
+
+/// Leaf candidates grouped by (adjacency mask to the prefix, vertex label):
+/// with one edge label, the pair fixes the quick pattern of the prefix plus
+/// the candidate (DESIGN.md §8 "Leaf batches"). A fixed open-addressing
+/// table on the stack: kSlots slots hold at most kMaxGroups groups, so
+/// probes always end and nothing allocates.
+class LeafGroups {
+ public:
+  struct Group {
+    uint64_t mask;
+    Label label;
+    uint32_t first;  // the group's first candidate, its representative
+    uint64_t count;
+  };
+  static constexpr uint32_t kSlots = 64;
+  static constexpr uint32_t kMaxGroups = kSlots / 2;
+
+  /// Counts candidate `index` into its group. Returns false, counting
+  /// nothing, when the group is new and the table is full.
+  FRACTAL_HOT bool Add(uint64_t mask, Label label, uint32_t index) {
+    const uint64_t hash =
+        (mask ^ (uint64_t{label} << 32) ^ label) * 0x9E3779B97F4A7C15ull;
+    for (uint32_t slot = static_cast<uint32_t>(hash >> 58);;
+         slot = (slot + 1) % kSlots) {
+      const uint8_t entry = slots_[slot];
+      if (entry == 0) {
+        if (size_ == kMaxGroups) return false;
+        groups_[size_] = {mask, label, index, 1};
+        slots_[slot] = static_cast<uint8_t>(++size_);
+        return true;
+      }
+      Group& group = groups_[entry - 1];
+      if (group.mask == mask && group.label == label) {
+        ++group.count;
+        return true;
+      }
+    }
+  }
+
+  std::span<const Group> groups() const { return {groups_.data(), size_}; }
+
+  void Clear() {
+    slots_.fill(0);
+    size_ = 0;
+  }
+
+ private:
+  std::array<uint8_t, kSlots> slots_{};  // group index + 1; 0 is empty
+  std::array<Group, kMaxGroups> groups_{};
+  uint32_t size_ = 0;
+};
+
+}  // namespace
 
 FractoidStepTask::FractoidStepTask(
     const Fractoid& fractoid, const StepPlan& plan, bool is_final,
@@ -53,6 +108,28 @@ FractoidStepTask::FractoidStepTask(
           fractoid_.primitives()[agg_index].aggregation->CreateStorage());
     }
     states_.push_back(std::move(s));
+  }
+  // What the last E-level does with its candidates (DESIGN.md §8 "Leaf
+  // batches"): count them when the step ends there and no one reads them,
+  // or count them per quick pattern when a counting storage is all that
+  // follows and the strategy's rows and one edge label fix the pattern.
+  uint32_t leaf_next = 0;  // the primitive after the last E
+  for (uint32_t i = 0; i < plan_.end; ++i) {
+    if (workflow[i].kind == Primitive::Kind::kExpand) leaf_next = i + 1;
+  }
+  if (leaf_next == plan_.end) {
+    if (!is_final_ || (sink_ == nullptr && !config_.collect_subgraphs)) {
+      leaf_fold_ = LeafFold::kCount;
+    }
+  } else if (leaf_next + 1 == plan_.end &&
+             workflow[leaf_next].kind == Primitive::Kind::kAggregate &&
+             storage_slots_[leaf_next] >= 0 && !states_.empty() &&
+             states_[0]->storages[storage_slots_[leaf_next]]
+                 ->CountsByPattern() &&
+             strategy_.WordOrderedRows() &&
+             graph_.UniformEdgeLabel().has_value() && num_levels_ <= 64) {
+    leaf_fold_ = LeafFold::kCountByPattern;
+    leaf_slot_ = storage_slots_[leaf_next];
   }
 }
 
@@ -264,6 +341,71 @@ void FractoidStepTask::DrainFrame(ThreadContext& t, CoreState& s,
   frame.Deactivate();
 }
 
+FRACTAL_HOT void FractoidStepTask::LeafBatch(
+    ThreadContext& t, CoreState& s, uint32_t next_index,
+    std::span<const uint32_t> extensions, std::span<const EdgeId> rows) {
+  switch (leaf_fold_) {
+    case LeafFold::kCount: {
+      // SinkVisit's accounting, n candidates at a time.
+      uint64_t n = 0;
+      while (n < extensions.size() && t.ConsumeWorkUnit()) ++n;
+      t.stats.subgraphs_visited += n;
+      if (is_final_) {
+        (t.lineage != nullptr ? s.task_count : s.local_count) += n;
+      }
+      return;
+    }
+    case LeafFold::kCountByPattern:
+      CountLeavesByPattern(t, s, extensions, rows);
+      return;
+    case LeafFold::kVisit:
+      break;
+  }
+  const size_t width = rows.size() / extensions.size();
+  for (size_t i = 0; i < extensions.size(); ++i) {
+    if (!t.ConsumeWorkUnit()) return;
+    // The per-extension guard of DrainFrame (DESIGN.md §9).
+    const AllocGuard guard(GuardModeFor(t));
+    strategy_.Apply(graph_, extensions[i], rows.subspan(i * width, width),
+                    &s.subgraph);
+    Process(t, s, next_index);
+    strategy_.Undo(graph_, &s.subgraph);
+  }
+}
+
+FRACTAL_HOT void FractoidStepTask::CountLeavesByPattern(
+    ThreadContext& t, CoreState& s, std::span<const uint32_t> extensions,
+    std::span<const EdgeId> rows) {
+  AggregationStorageBase& storage =
+      *(t.lineage != nullptr ? s.task_storages : s.storages)[leaf_slot_];
+  const size_t width = rows.size() / extensions.size();
+  FRACTAL_DCHECK(width == s.subgraph.NumVertices() && width <= 64);
+  LeafGroups groups;
+  const auto count_groups = [&] {
+    const AllocGuard guard(GuardModeFor(t));
+    for (const LeafGroups::Group& group : groups.groups()) {
+      strategy_.Apply(graph_, extensions[group.first],
+                      rows.subspan(group.first * width, width), &s.subgraph);
+      storage.AccumulateCount(s.subgraph, *s.computation, group.count);
+      strategy_.Undo(graph_, &s.subgraph);
+    }
+    groups.Clear();
+  };
+  for (uint32_t i = 0; i < extensions.size(); ++i) {
+    if (!t.ConsumeWorkUnit()) break;
+    const EdgeId* row = rows.data() + i * width;
+    uint64_t mask = 0;
+    for (size_t q = 0; q < width; ++q) {
+      mask |= uint64_t{row[q] != kNoEdge} << q;
+    }
+    const Label label = graph_.VertexLabel(extensions[i]);
+    if (groups.Add(mask, label, i)) continue;
+    count_groups();
+    groups.Add(mask, label, i);
+  }
+  count_groups();
+}
+
 void FractoidStepTask::SinkVisit(ThreadContext& t, CoreState& s) {
   ++t.stats.subgraphs_visited;
   if (!is_final_) return;
@@ -303,11 +445,10 @@ void FractoidStepTask::Process(ThreadContext& t, CoreState& s,
       const uint32_t depth = s.subgraph.Depth();
       FRACTAL_TRACE_INSTANT("dfs/expand", depth);
       FRACTAL_DCHECK(depth < num_levels_);
-      SubgraphEnumerator& frame = *t.frames[depth];
-      // Extensions and their edge rows are computed into arena leases;
-      // Refill's swap then hands the frame's previous buffers back through
-      // the leases, so buffer capacity cycles through the pool instead of
-      // being reallocated.
+      // Extensions and their edge rows are computed into arena leases; at
+      // an interior level Refill's swap then hands the frame's previous
+      // buffers back through the leases, so buffer capacity cycles through
+      // the pool instead of being reallocated.
       ScratchArena::BufferLease scratch(s.computation->scratch_arena());
       ScratchArena::BufferLease rows(s.computation->scratch_arena());
       strategy_.ComputeExtensions(graph_, s.subgraph,
@@ -324,13 +465,17 @@ void FractoidStepTask::Process(ThreadContext& t, CoreState& s,
           s.subgraph.NumEdges() * sizeof(EdgeId);
       s.state_bytes += s.frame_bytes[depth];
       s.peak_state_bytes = std::max(s.peak_state_bytes, s.state_bytes);
-      if (scratch->empty()) {
-        // Nothing to drain and nothing to steal: skip the frame's lock
-        // round trips and prefix copy, but count the empty batch as
-        // Refill would have.
-        obs::LocalHotMetrics().batch_sizes.Record(0);
+      if (depth + 1 == num_levels_ || scratch->empty()) {
+        // The leaf level, or nothing to drain: no frame, so no lock round
+        // trips and no prefix copy, and nothing for a thief to claim. The
+        // batch is recorded as Refill would have recorded it.
+        obs::LocalHotMetrics().batch_sizes.Record(scratch->size());
+        if (!scratch->empty()) {
+          LeafBatch(t, s, index + 1, *scratch, *rows);
+        }
         break;
       }
+      SubgraphEnumerator& frame = *t.frames[depth];
       frame.Refill(s.subgraph, index + 1, std::move(*scratch.get()),
                    std::move(*rows.get()));
       DrainFrame(t, s, frame);

@@ -1,7 +1,8 @@
 // FractoidStepTask: the application side of one fractal step, plugged into
 // the runtime's Cluster/Worker layer through the StepTask interface.
 // Implements Algorithm 1 — the recursive DFS over subgraph enumerators, one
-// enumerator per extension level, reused across siblings — plus the
+// enumerator per extension level, reused across siblings, except that the
+// last level runs as an unstealable batch (LeafBatch) — plus the
 // primitive pipeline (expand / filter / aggregation-filter / aggregate) and
 // the thread-local aggregation accumulators that are merged at the step
 // barrier. Thread lifecycle, partitioning, and stealing live in
@@ -10,6 +11,7 @@
 #define FRACTAL_CORE_FRACTOID_TASK_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/computation.h"
@@ -65,8 +67,9 @@ class FractoidStepTask : public StepTask {
     Subgraph subgraph;
     std::unique_ptr<Computation> computation;
     // Expansion buffers come from the computation's ScratchArena (leased in
-    // Process, recycled through SubgraphEnumerator::Refill's swap), so the
-    // DFS performs no per-level heap allocation in steady state.
+    // Process; an interior level's recycle through SubgraphEnumerator::
+    // Refill's swap, the leaf level's straight back to the pool), so the DFS
+    // performs no per-level heap allocation in steady state.
     std::vector<uint64_t> frame_bytes;  // per E-depth
 
     // Thread-local accumulators for the step's new aggregations, indexed
@@ -94,9 +97,30 @@ class FractoidStepTask : public StepTask {
     uint64_t tests_flushed = 0;
   };
 
+  /// What the last E-level does with its candidates (DESIGN.md §8 "Leaf
+  /// batches"). Chosen once per step attempt.
+  enum class LeafFold {
+    kVisit,           // push each candidate and run the rest of the step
+    kCount,           // the step ends at the leaf: count the candidates
+    kCountByPattern,  // only a CountByPattern storage follows: count per
+                      // (adjacency mask, vertex label) group
+  };
+
   FRACTAL_HOT void DrainFrame(ThreadContext& t, CoreState& s,
                               SubgraphEnumerator& frame);
   FRACTAL_HOT void Process(ThreadContext& t, CoreState& s, uint32_t index);
+  /// The last E-level: walks the candidates and their edge rows straight
+  /// off the expansion buffers, without a frame, so no thief ever sees a
+  /// leaf. Every candidate consumes one work unit before it counts.
+  FRACTAL_HOT void LeafBatch(ThreadContext& t, CoreState& s,
+                             uint32_t next_index,
+                             std::span<const uint32_t> extensions,
+                             std::span<const EdgeId> rows);
+  /// LeafFold::kCountByPattern: pushes one representative per group,
+  /// canonicalizes it once and adds the group's size to its slot.
+  FRACTAL_HOT void CountLeavesByPattern(ThreadContext& t, CoreState& s,
+                                        std::span<const uint32_t> extensions,
+                                        std::span<const EdgeId> rows);
   FRACTAL_HOT void SinkVisit(ThreadContext& t, CoreState& s);
 
   /// DrainRoots with lineage tracking: one ledger task per root extension,
@@ -147,6 +171,8 @@ class FractoidStepTask : public StepTask {
   std::vector<uint32_t> expansions_before_;
   std::vector<int32_t> storage_slots_;
   std::vector<uint32_t> new_aggregates_;
+  LeafFold leaf_fold_ = LeafFold::kVisit;
+  int32_t leaf_slot_ = -1;  // the storage slot kCountByPattern counts into
 
   std::vector<std::unique_ptr<CoreState>> states_;  // by global core id
 };

@@ -1,7 +1,8 @@
 // SubgraphEnumerator (paper §4.1, Fig. 7): holds an enumeration prefix (the
 // subgraph under extension) plus its precomputed extension candidates and a
 // consumption cursor. One enumerator lives at each DFS level of each
-// execution thread and is *reused* across siblings at that level.
+// execution thread and is *reused* across siblings at that level; the last
+// level of a step runs as a batch without one (FractoidStepTask::LeafBatch).
 //
 // Work stealing (paper §4.2) is implemented directly on this structure: the
 // extension cursor is atomic and consumption is thread-safe, so an idle

@@ -105,6 +105,13 @@ class ExtensionStrategy {
   virtual uint32_t NumExtensionIds(const Graph& graph) const {
     return graph.NumVertices();
   }
+
+  /// Whether Apply pushes one vertex with a word-ordered edge row (entry q
+  /// joins word position q, kNoEdge where there is no edge) and the subgraph
+  /// is vertex-induced: then the row and the vertex's label determine the
+  /// pushed subgraph's quick pattern up to edge labels (DESIGN.md §8 "Leaf
+  /// batches").
+  virtual bool WordOrderedRows() const { return false; }
 };
 
 /// Vertex-induced extension with canonical subgraph checking. Used by
@@ -121,6 +128,7 @@ class VertexInducedStrategy : public ExtensionStrategy {
   FRACTAL_HOT void SearchRow(
       const Graph& graph, const Subgraph& subgraph, uint32_t extension,
       FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const override;
+  bool WordOrderedRows() const override { return true; }
 };
 
 /// Edge-induced extension with canonical subgraph checking. Used by FSM and
@@ -231,6 +239,7 @@ class KClistStrategy : public ExtensionStrategy {
   FRACTAL_HOT void SearchRow(
       const Graph& graph, const Subgraph& subgraph, uint32_t extension,
       FRACTAL_ARENA_OUT std::vector<EdgeId>* row) const override;
+  bool WordOrderedRows() const override { return true; }
 };
 
 }  // namespace fractal

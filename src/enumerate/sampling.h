@@ -76,6 +76,9 @@ class SamplingStrategy : public ExtensionStrategy {
   uint32_t NumExtensionIds(const Graph& graph) const override {
     return base_->NumExtensionIds(graph);
   }
+  // Candidates are dropped with their rows; the survivors' rows are the
+  // base's.
+  bool WordOrderedRows() const override { return base_->WordOrderedRows(); }
 
  private:
   static uint64_t Mix(uint64_t z) {

@@ -1,6 +1,7 @@
 #include "obs/exposition.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <algorithm>
@@ -62,13 +63,6 @@ bool WriteAll(int fd, const char* data, size_t size) {
     sent += static_cast<size_t>(n);
   }
   return true;
-}
-
-int ClampedIntParam(const ExpositionServer::Request& request,
-                    const std::string& key, int fallback, int lo, int hi) {
-  const std::string raw = request.QueryParam(key, "");
-  if (raw.empty()) return fallback;
-  return std::min(hi, std::max(lo, std::atoi(raw.c_str())));
 }
 
 // --- Built-in endpoint renderings ----------------------------------------
@@ -144,17 +138,23 @@ ExpositionServer::Response RenderTracez(
 ExpositionServer::Response RenderProfilez(
     const ExpositionServer::Request& request) {
   FRACTAL_TRACE_SPAN("obs/profile_window");
-  const int seconds = ClampedIntParam(request, "seconds", 1, 1, 30);
-  const int hz =
-      ClampedIntParam(request, "hz", Profiler::kDefaultHz, 1,
-                      Profiler::kMaxHz);
+  const StatusOr<int> seconds = request.IntParam("seconds", 1, 1, 30);
+  const StatusOr<int> hz =
+      request.IntParam("hz", Profiler::kDefaultHz, 1, Profiler::kMaxHz);
+  for (const StatusOr<int>* param : {&seconds, &hz}) {
+    if (!param->ok()) {
+      return ExpositionServer::Response{
+          400, "text/plain; charset=utf-8",
+          param->status().ToString() + "\n"};
+    }
+  }
   Profiler& profiler = Profiler::Get();
   const std::vector<uint64_t> marks = profiler.Marks();
   // If a session is already running (e.g. --profile-out), piggyback on it
   // instead of failing: the window is still delimited by the marks.
   const bool started_here = !profiler.running();
   if (started_here) {
-    const Status status = profiler.Start(hz);
+    const Status status = profiler.Start(hz.value());
     if (!status.ok()) {
       return ExpositionServer::Response{
           500, "text/plain; charset=utf-8",
@@ -162,7 +162,7 @@ ExpositionServer::Response RenderProfilez(
                     status.ToString().c_str())};
     }
   }
-  std::this_thread::sleep_for(std::chrono::seconds(seconds));
+  std::this_thread::sleep_for(std::chrono::seconds(seconds.value()));
   if (started_here) profiler.Stop();
   const ProfileSnapshot snapshot = profiler.Snapshot(&marks);
   ExpositionServer::Response response;
@@ -177,6 +177,22 @@ ExpositionServer::Response RenderProfilez(
 }
 
 }  // namespace
+
+StatusOr<int> ExpositionServer::Request::IntParam(const std::string& key,
+                                                  int fallback, int lo,
+                                                  int hi) const {
+  const std::string raw = QueryParam(key, "");
+  if (raw.empty()) return fallback;
+  int value = 0;
+  const char* end = raw.data() + raw.size();
+  const auto [parsed_to, error] = std::from_chars(raw.data(), end, value);
+  if (error != std::errc() || parsed_to != end) {
+    return InvalidArgumentError(StrFormat(
+        "query parameter %s=%s is not an integer in int range", key.c_str(),
+        raw.c_str()));
+  }
+  return std::clamp(value, lo, hi);
+}
 
 std::string ExpositionServer::Request::QueryParam(
     const std::string& key, const std::string& fallback) const {

@@ -54,6 +54,11 @@ class ExpositionServer {
     /// Value of `key` in the query string, or `fallback`.
     std::string QueryParam(const std::string& key,
                            const std::string& fallback = "") const;
+    /// Integer value of `key` clamped to [lo, hi], or `fallback` when the
+    /// key is absent or empty. InvalidArgument unless the whole value is a
+    /// decimal integer that fits an int.
+    StatusOr<int> IntParam(const std::string& key, int fallback, int lo,
+                           int hi) const;
   };
 
   struct Response {

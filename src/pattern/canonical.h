@@ -1,13 +1,11 @@
 // Canonical labeling of patterns (paper §2.1): maps every member of an
 // isomorphism class to one representative, so that pattern equality becomes
-// cheap value comparison. Two providers are implemented:
-//   * CanonicalForm(): branch-and-bound minimization of the labeled
-//     adjacency-matrix code over all position permutations — the reference
-//     implementation, also returns the permutation (needed by MNI support
-//     counting, which must align embedding positions across subgraphs).
-//   * MinDfsCode() (dfs_code.h): the gSpan DFS-code canonicalization the
-//     paper adopts. The two providers are cross-checked in tests: they must
-//     induce the same equivalence classes.
+// cheap value comparison. CanonicalForm() is a branch-and-bound
+// minimization of the labeled adjacency-matrix code over all position
+// permutations; it also returns the permutation (needed by MNI support
+// counting, which must align embedding positions across subgraphs). The
+// tests cross-check it against the gSpan minimum DFS code the paper adopts
+// (tests/dfs_code.h): the two must induce the same equivalence classes.
 // CanonicalPatternCache memoizes canonicalization by "quick pattern" (the
 // pattern in subgraph addition order), the Arabesque two-phase aggregation
 // trick: distinct quick patterns are few, so the expensive canonicalization

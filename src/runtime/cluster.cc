@@ -393,6 +393,7 @@ Cluster::StepResult Cluster::RunStep(StepTask& task,
       MutexLock lock(mu_);
       threads_remaining_ = live_threads;
       ++step_generation_;
+      generation_live_mask_ = live_mask;
       work_cv_.NotifyAll();
     }
     while (!AwaitBarrier(query, tick)) {

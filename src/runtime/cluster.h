@@ -318,14 +318,21 @@ class Cluster {
   CondVar work_cv_;  // new step or shutdown
   CondVar done_cv_;  // all threads finished the step
   uint64_t step_generation_ GUARDED_BY(mu_) = 0;
+  // step_.live_mask of step_generation_, for a waking thread to decide
+  // under mu_ whether it joins: the barrier does not wait for a dead
+  // worker's threads, so they must not read step_ while the driver may be
+  // writing the next step's.
+  uint64_t generation_live_mask_ GUARDED_BY(mu_) = 0;
   uint32_t threads_remaining_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
 
   /// Not mutex-protected: published by RunStep *before* the step-generation
-  /// bump under mu_, and only read by worker threads after they observe the
-  /// new generation (or, for the steal service, causally after an execution
-  /// thread's bus request) — the generation handshake is the happens-before
-  /// edge, so these are data-race-free without a guard. Between two RunStep
+  /// bump under mu_, and only read by the live workers' threads after they
+  /// observe the new generation (or, for the steal service, causally after
+  /// an execution thread's bus request) — the generation handshake is the
+  /// happens-before edge, and the barrier waits for those readers, so these
+  /// are data-race-free without a guard. A dead worker's threads read only
+  /// generation_live_mask_. Between two RunStep
   /// callers the step_in_flight_ hand-off under run_mu_ orders the previous
   /// step's teardown before the next one's setup.
   StepState step_;

@@ -1,5 +1,6 @@
 #include "runtime/fault.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -132,6 +133,20 @@ FaultPlan& FaultPlan::CrashWorkerInSalvage(int32_t worker,
   return *this;
 }
 
+namespace {
+
+/// Parses all of `text` as a T: no leading whitespace or '+', no sign for
+/// an unsigned T, no trailing characters, nothing outside T's range. A
+/// parsed NaN fails every range comparison its caller makes.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [parsed_to, error] = std::from_chars(text.data(), end, *out);
+  return error == std::errc() && parsed_to == end;
+}
+
+}  // namespace
+
 StatusOr<FaultPlan> FaultPlan::Parse(std::string_view text, uint64_t seed) {
   FaultPlan plan(seed);
   for (std::string_view entry : SplitString(text, ";")) {
@@ -157,24 +172,33 @@ StatusOr<FaultPlan> FaultPlan::Parse(std::string_view text, uint64_t seed) {
             field.data()));
       }
       const std::string_view key = field.substr(0, eq);
-      const std::string value(field.substr(eq + 1));
-      char* end = nullptr;
+      const std::string_view value = field.substr(eq + 1);
+      bool parsed = false;
+      std::string expected;
       if (key == "w") {
-        spec.worker = (int32_t)std::strtol(value.c_str(), &end, 10);
+        parsed = ParseWhole(value, &spec.worker);
+        expected = "an int32 worker id";
       } else if (key == "after") {
-        spec.after_units = std::strtoull(value.c_str(), &end, 10);
+        parsed = ParseWhole(value, &spec.after_units);
+        expected = "an unsigned count";
       } else if (key == "p") {
-        spec.probability = std::strtod(value.c_str(), &end);
+        parsed = ParseWhole(value, &spec.probability) &&
+                 spec.probability >= 0 && spec.probability <= 1;
+        expected = "a probability in [0, 1]";
         has_probability = true;
       } else if (key == "us") {
-        spec.micros = std::strtoll(value.c_str(), &end, 10);
+        parsed = ParseWhole(value, &spec.micros) && spec.micros >= 0 &&
+                 spec.micros <= kMaxFaultMicros;
+        expected = StrFormat("microseconds in [0, %lld]",
+                             (long long)kMaxFaultMicros);
       } else {
         return InvalidArgumentError(StrFormat(
             "unknown fault spec key '%.*s'", (int)key.size(), key.data()));
       }
-      if (end == value.c_str() || *end != '\0') {
-        return InvalidArgumentError(
-            StrFormat("cannot parse fault spec value '%s'", value.c_str()));
+      if (!parsed) {
+        return InvalidArgumentError(StrFormat(
+            "fault spec value '%.*s' is not %s", (int)field.size(),
+            field.data(), expected.c_str()));
       }
     }
     if (!has_field) {
@@ -289,9 +313,10 @@ Status FaultPlan::Validate(uint32_t num_workers) const {
       case FaultKind::kSlowWorker:
         break;
     }
-    if (spec.micros < 0) {
+    if (spec.micros < 0 || spec.micros > kMaxFaultMicros) {
       return InvalidArgumentError(StrFormat(
-          "fault '%s' has a negative duration", spec.ToString().c_str()));
+          "fault '%s' has a duration outside [0, %lld] us",
+          spec.ToString().c_str(), (long long)kMaxFaultMicros));
     }
   }
   return Status::Ok();

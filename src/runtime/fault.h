@@ -57,13 +57,17 @@ enum class FaultKind : uint8_t {
   kCrashWorkerInSalvage,
 };
 
+/// Upper bound on a fault's `micros` (a delay or a per-unit slowdown): one
+/// minute. Anything longer stalls a test run rather than perturbing it.
+inline constexpr int64_t kMaxFaultMicros = 60'000'000;
+
 /// One scheduled fault. Which fields are meaningful depends on `kind`.
 struct FaultSpec {
   FaultKind kind = FaultKind::kCrashWorker;
   int32_t worker = -1;      // target worker; -1 = any (probabilistic kinds)
   uint64_t after_units = 0; // deterministic trigger point
   double probability = 0;   // probabilistic trigger rate
-  int64_t micros = 0;       // delay / slowdown magnitude
+  int64_t micros = 0;       // delay / slowdown, [0, kMaxFaultMicros]
 
   std::string ToString() const;
 };
@@ -91,6 +95,9 @@ class FaultPlan {
   ///   crash-service:w=0,after=3
   ///   drop:p=0.05               delay:p=0.1,us=5000
   ///   slow:w=1,us=20            crash-in-salvage:w=1,after=10
+  /// Each value is parsed whole and range-checked: w= fits int32_t,
+  /// after= is unsigned (no sign), p= is a finite number in [0, 1], us= is
+  /// in [0, kMaxFaultMicros]. Anything else is InvalidArgument.
   static StatusOr<FaultPlan> Parse(std::string_view text, uint64_t seed);
 
   /// A seeded pseudo-random single-failure plan for chaos sweeps: one

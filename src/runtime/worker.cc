@@ -77,6 +77,7 @@ void Worker::ThreadLoop(ThreadContext& t) {
   obs::LocalHotMetrics().units_sink = &work_units_;
   uint64_t seen_generation = 0;
   while (true) {
+    bool live = false;
     {
       MutexLock lock(cluster_->mu_);
       while (!cluster_->shutdown_ &&
@@ -85,11 +86,12 @@ void Worker::ThreadLoop(ThreadContext& t) {
       }
       if (cluster_->shutdown_) return;
       seen_generation = cluster_->step_generation_;
+      live = ((cluster_->generation_live_mask_ >> worker_id_) & 1) != 0;
     }
     // Degraded steps run on the live-worker subset only: threads of dead
     // workers skip the step entirely and must not touch the barrier count
     // (it was initialized to the live thread total).
-    if (((cluster_->step_.live_mask >> worker_id_) & 1) == 0) continue;
+    if (!live) continue;
     RunStepOnThread(t);
     {
       MutexLock lock(cluster_->mu_);

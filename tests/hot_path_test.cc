@@ -1,9 +1,9 @@
 // End-to-end check of the hot-path allocation discipline (DESIGN.md §9):
 // after the per-step warm-up, full-cluster runs of the vertex-induced,
 // edge-induced, KClist and pattern-induced strategies, of Listing 2's
-// triangles, of SEED q2/q6, of motif counting's pattern aggregation and of
-// FSM's in-place MNI domains, perform ZERO heap allocations in their steady-state DFS regions — edge
-// rows included. FractoidStepTask arms an AllocGuard around each
+// triangles, of SEED q2/q6 and of motif counting through the two counted
+// leaves, and of FSM's in-place MNI domains, perform ZERO heap allocations
+// in their steady-state DFS regions — edge rows included. FractoidStepTask arms an AllocGuard around each
 // extension once a thread has consumed AllocGuard::warmup_units() work units
 // in the step; these tests crank the global mode to kCount (assert the
 // observed total is zero) and kAbort (completing at all is the assertion),
@@ -128,11 +128,14 @@ TEST_F(HotPathTest, CompletesUnderAbortModeWithStealingCluster) {
   EXPECT_EQ(aborted_mode, expected);
 }
 
-// Motif counting aggregates every subgraph under its canonical pattern:
-// quick pattern, canonical-pattern cache, aggregation key. With inline
-// Pattern storage that path allocates only on a cache miss or a key the
+// Motif counting aggregates every subgraph under its canonical pattern.
+// CountMotifs counts by pattern, so its leaf level is the counted leaf
+// (DESIGN.md §8 "Leaf batches"): candidates grouped by (adjacency mask,
+// vertex label), one representative pushed and canonicalized per group.
+// That path allocates only on a canonical-cache miss or a pattern slot the
 // thread has not seen yet (both audited, cold); everything else runs
-// guarded. Two vertex labels give several distinct motifs per thread.
+// guarded. Two vertex labels give several groups and distinct motifs per
+// thread.
 MotifsResult RunMotifs(const Graph& g, const ExecutionConfig& config) {
   FractalContext fctx;
   FractalGraph graph = fctx.FromGraph(Graph(g));
@@ -230,7 +233,9 @@ TEST_F(HotPathTest, TrianglesCompleteUnderAbortMode) {
 
 // SEED q2 (square) and q6 (house) through PFractoid: the pattern-induced
 // strategy's kernel passes over scratch leases. Two edge labels keep the
-// per-survivor edge-label check on the path too.
+// per-survivor edge-label check on the path too. CountQueryMatches ends
+// its step at the leaf, so the leaf level is the counted leaf that pushes
+// nothing (DESIGN.md §8 "Leaf batches").
 struct QueryCounts {
   uint64_t q2 = 0;
   uint64_t q6 = 0;

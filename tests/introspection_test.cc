@@ -193,6 +193,18 @@ TEST(ExpositionTest, ProfilezReturnsAWindow) {
   EXPECT_NE(spans.find("HTTP/1.1 200"), std::string::npos);
 }
 
+TEST(ExpositionTest, ProfilezRejectsMalformedParameters) {
+  auto server = MustStart();
+  // Answered before any profiling window opens.
+  for (const char* target :
+       {"/profilez?seconds=abc", "/profilez?hz=9999999999999",
+        "/profilez?seconds=1x&hz=50"}) {
+    SCOPED_TRACE(target);
+    const std::string response = Get(server->port(), target);
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
+  }
+}
+
 TEST(ExpositionTest, ServerStopsCleanlyWithPendingNothing) {
   // Start/stop churn: the self-pipe shutdown must join promptly.
   for (int i = 0; i < 3; ++i) {

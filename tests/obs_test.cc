@@ -22,6 +22,7 @@
 #include "core/context.h"
 #include "graph/generators.h"
 #include "graph/test_graphs.h"
+#include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -307,6 +308,32 @@ TEST(HistogramTest, ApproxPercentileAtBucketBoundaries) {
   one.Record(42);  // bucket [32,63]
   for (const double p : {1.0, 50.0, 90.0, 99.0, 100.0}) {
     EXPECT_EQ(one.ApproxPercentile(p), 32u) << "p=" << p;
+  }
+}
+
+// /profilez reads `seconds` and `hz` with Request::IntParam: the whole
+// value must be a decimal int (no atoi prefix parse, no overflow), and an
+// in-range value is clamped as before.
+TEST(ExpositionParamTest, IntParamParsesWholeTokensOnly) {
+  const auto param = [](const std::string& query) {
+    obs::ExpositionServer::Request request;
+    request.path = "/profilez";
+    request.query = query;
+    return request.IntParam("hz", 7, 1, 100);
+  };
+  EXPECT_EQ(param("").value(), 7);
+  EXPECT_EQ(param("hz=").value(), 7);
+  EXPECT_EQ(param("hz=42").value(), 42);
+  EXPECT_EQ(param("seconds=3&hz=5").value(), 5);
+  EXPECT_EQ(param("hz=100000").value(), 100);
+  EXPECT_EQ(param("hz=-3").value(), 1);
+  for (const char* bad :
+       {"hz=abc", "hz=12abc", "hz= 12", "hz=1.5", "hz=+", "hz=-",
+        "hz=2147483648", "hz=99999999999999999999", "hz=-2147483649"}) {
+    SCOPED_TRACE(bad);
+    const StatusOr<int> parsed = param(bad);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

@@ -11,8 +11,8 @@
 #include "graph/generators.h"
 #include "pattern/automorphism.h"
 #include "pattern/canonical.h"
-#include "pattern/dfs_code.h"
 #include "pattern/pattern.h"
+#include "tests/dfs_code.h"
 #include "util/alloc_guard.h"
 #include "util/random.h"
 

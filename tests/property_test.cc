@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <map>
 #include <numeric>
@@ -16,11 +17,12 @@
 #include "apps/keyword_search.h"
 #include "apps/motifs.h"
 #include "apps/queries.h"
+#include "baselines/single_thread.h"
 #include "graph/generators.h"
 #include "graph/graph_reduce.h"
 #include "pattern/canonical.h"
-#include "pattern/dfs_code.h"
 #include "tests/brute_force.h"
+#include "tests/dfs_code.h"
 #include "tests/reference_extension.h"
 #include "util/random.h"
 
@@ -594,6 +596,141 @@ TEST_P(SeededProperty, KernelQuickCodesMatchQuickPatterns) {
                     ReferenceVertexInducedStrategy{}, 2);
   DifferentialSweep(hub, KClistStrategy{}, ReferenceKClistStrategy{}, 3);
   PatternSweep(hub);
+}
+
+// --- Leaf batches (DESIGN.md §8 "Leaf batches") -----------------------------
+// The last E-level runs as a batch. A step that ends there counts its
+// candidates; motif counting (Fractoid::CountByPattern) groups them by
+// (adjacency mask, vertex label) and canonicalizes one representative per
+// group; everything else pushes and visits each candidate. These sweeps
+// hold all three paths to the brute force on a stealing 2x2 cluster.
+
+ExecutionConfig LeafCluster() {
+  ExecutionConfig config;
+  config.num_workers = 2;
+  config.threads_per_worker = 2;
+  config.network.latency_micros = 1;
+  return config;
+}
+
+template <typename Map>
+std::map<Pattern, uint64_t> Ordered(const Map& counts) {
+  return {counts.begin(), counts.end()};
+}
+
+void ExpectLeafMotifsMatchOracles(const Graph& g, uint32_t k) {
+  SCOPED_TRACE("k=" + std::to_string(k));
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  const MotifsResult result = CountMotifs(graph, k, LeafCluster());
+  const std::map<Pattern, uint64_t> expected = brute::MotifCounts(g, k);
+  ASSERT_GT(expected.size(), 1u) << "too few motifs to tell groups apart";
+  EXPECT_EQ(Ordered(result.counts), expected);
+  EXPECT_EQ(Ordered(baselines::TunedMotifCounts(g, k)), expected);
+}
+
+TEST_P(SeededProperty, CountedLeafMotifsMatchBruteForce) {
+  // One edge label: the counted leaf. Three vertex labels make groups that
+  // differ only by label; k = 3..5 gives masks over 2..4 prefix positions.
+  const Graph labeled = GenerateRandomGraph(22, 60, 3, 1, GetParam());
+  ASSERT_TRUE(labeled.UniformEdgeLabel().has_value());
+  for (uint32_t k = 3; k <= 5; ++k) ExpectLeafMotifsMatchOracles(labeled, k);
+  // A hub: its candidates arrive through the bitmap filters.
+  const Graph hub = RandomGraphWithHub(60, GetParam(), 2, 1);
+  ASSERT_GT(hub.NumHubs(), 0u);
+  ExpectLeafMotifsMatchOracles(hub, 3);
+}
+
+TEST_P(SeededProperty, CountedLeafMotifsWithWideLabelsMatchBruteForce) {
+  // A label above QuickCode::kMaxLabel (253): the group representatives
+  // canonicalize through the quick-Pattern path.
+  GraphBuilder builder;
+  SplitMix64 rng(GetParam());
+  constexpr uint32_t kVertices = 20;
+  const Label labels[] = {0, 300, 7};
+  for (uint32_t v = 0; v < kVertices; ++v) {
+    builder.AddVertex(labels[rng.NextBounded(3)]);
+  }
+  for (uint32_t added = 0; added < 50;) {
+    const VertexId u = static_cast<VertexId>(rng.NextBounded(kVertices));
+    const VertexId v = static_cast<VertexId>(rng.NextBounded(kVertices));
+    if (u == v || builder.HasEdge(u, v)) continue;
+    builder.AddEdge(u, v);
+    ++added;
+  }
+  const Graph g = std::move(builder).Build();
+  for (uint32_t k = 3; k <= 4; ++k) ExpectLeafMotifsMatchOracles(g, k);
+}
+
+TEST_P(SeededProperty, PerCandidateLeafMotifsMatchBruteForce) {
+  // Two edge labels: (mask, label) no longer fixes the quick pattern, so
+  // every leaf is pushed and accumulated on its own.
+  const Graph g = GenerateRandomGraph(22, 60, 2, 2, GetParam());
+  ASSERT_FALSE(g.UniformEdgeLabel().has_value());
+  for (uint32_t k = 3; k <= 4; ++k) ExpectLeafMotifsMatchOracles(g, k);
+}
+
+TEST_P(SeededProperty, CountedLeafQueriesAndCliquesMatchBruteForce) {
+  const Graph g = GenerateRandomGraph(22, 80, 1, 1, GetParam());
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  for (uint32_t q = 1; q <= 8; ++q) {
+    SCOPED_TRACE("q" + std::to_string(q));
+    EXPECT_EQ(CountQueryMatches(graph, SeedQuery(q), LeafCluster()),
+              brute::CountPatternMatches(g, SeedQuery(q)));
+  }
+  for (uint32_t k = 3; k <= 4; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    EXPECT_EQ(CountCliquesOptimized(graph, k, LeafCluster()),
+              brute::CountCliques(g, k));
+    EXPECT_EQ(graph.VFractoid().Expand(k).CountSubgraphs(LeafCluster()),
+              brute::CountConnectedVertexSets(g, k));
+  }
+  EXPECT_EQ(graph.EFractoid().Expand(3).CountSubgraphs(LeafCluster()),
+            brute::CountConnectedEdgeSets(g, 3));
+}
+
+TEST_P(SeededProperty, LeavesAreVisitedWhenSomeoneReadsThem) {
+  // A sink or collect_subgraphs reads every leaf, so the leaf batch must
+  // push and visit each one rather than count it.
+  const Graph g = GenerateRandomGraph(22, 80, 1, 1, GetParam());
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  for (const uint32_t q : {2u, 3u, 6u}) {
+    SCOPED_TRACE("q" + std::to_string(q));
+    const Pattern query = SeedQuery(q);
+    const uint64_t expected = brute::CountPatternMatches(g, query);
+    ASSERT_GT(expected, 0u);
+    const Pattern canonical_query = CanonicalForm(query).pattern;
+
+    std::atomic<uint64_t> sunk{0};
+    std::atomic<uint64_t> wrong{0};
+    const uint64_t counted = QueryFractoid(graph, query).ForEachSubgraph(
+        [&](const Subgraph& match) {
+          ++sunk;
+          if (match.NumVertices() != query.NumVertices() ||
+              CanonicalForm(match.QuickPattern(g)).pattern !=
+                  canonical_query) {
+            ++wrong;
+          }
+        },
+        LeafCluster());
+    EXPECT_EQ(counted, expected);
+    EXPECT_EQ(sunk.load(), expected);
+    EXPECT_EQ(wrong.load(), 0u);
+
+    const std::vector<Subgraph> collected =
+        QueryFractoid(graph, query).CollectSubgraphs(LeafCluster());
+    EXPECT_EQ(collected.size(), expected);
+    // Each match is one distinct edge set (a vertex set can hold several).
+    std::set<std::vector<EdgeId>> distinct;
+    for (const Subgraph& match : collected) {
+      ASSERT_EQ(match.NumVertices(), query.NumVertices());
+      std::vector<EdgeId> edges(match.Edges().begin(), match.Edges().end());
+      std::sort(edges.begin(), edges.end());
+      EXPECT_TRUE(distinct.insert(edges).second) << match.ToString();
+    }
+  }
 }
 
 TEST(ExploreTest, ExploreZeroIsIdentity) {

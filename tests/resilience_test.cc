@@ -18,6 +18,7 @@
 #include "apps/cliques.h"
 #include "apps/fsm.h"
 #include "apps/motifs.h"
+#include "apps/queries.h"
 #include "core/context.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
@@ -75,6 +76,61 @@ TEST(FaultPlanTest, ParseRejectsGarbage) {
   EXPECT_FALSE(FaultPlan::Parse("crash:w=banana", 0).ok());
   EXPECT_FALSE(FaultPlan::Parse("crash:", 0).ok());
   EXPECT_FALSE(FaultPlan::Parse("drop:p=nope", 0).ok());
+}
+
+// Every value is parsed whole and range-checked, field by field: a bad
+// value is InvalidArgument at Parse, never a wrapped or truncated number.
+TEST(FaultPlanTest, ParseRejectsOutOfRangeWorker) {
+  EXPECT_TRUE(FaultPlan::Parse("crash:w=2147483647,after=1", 0).ok());
+  for (const char* spec :
+       {"crash:w=2147483648,after=1", "crash:w=-2147483649,after=1",
+        "crash:w=4294967297,after=1", "crash:w=1x,after=1",
+        "crash:w= 1,after=1"}) {
+    SCOPED_TRACE(spec);
+    const auto plan = FaultPlan::Parse(spec, 0);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(FaultPlanTest, ParseRejectsSignedOrOverflowingAfter) {
+  EXPECT_TRUE(FaultPlan::Parse("crash:w=0,after=18446744073709551615", 0)
+                  .ok());
+  for (const char* spec :
+       {"crash:w=0,after=-1", "crash:w=0,after=+5",
+        "crash:w=0,after=18446744073709551616", "crash:w=0,after=5e3"}) {
+    SCOPED_TRACE(spec);
+    const auto plan = FaultPlan::Parse(spec, 0);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(FaultPlanTest, ParseRejectsProbabilityOutsideUnitInterval) {
+  EXPECT_TRUE(FaultPlan::Parse("drop:p=0;drop:p=1;drop:p=0.25", 0).ok());
+  for (const char* spec : {"drop:p=1.5", "drop:p=-0.1", "drop:p=nan",
+                           "drop:p=inf", "drop:p=1e400", "drop:p=0.5x"}) {
+    SCOPED_TRACE(spec);
+    const auto plan = FaultPlan::Parse(spec, 0);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(FaultPlanTest, ParseRejectsDurationOutsideBound) {
+  EXPECT_TRUE(FaultPlan::Parse("slow:w=0,us=60000000", 0).ok());
+  for (const char* spec :
+       {"slow:w=0,us=-1", "slow:w=0,us=60000001",
+        "delay:p=0.5,us=9223372036854775808", "delay:p=0.5,us=12ms"}) {
+    SCOPED_TRACE(spec);
+    const auto plan = FaultPlan::Parse(spec, 0);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Builders bypass Parse; Validate holds them to the same bound.
+  EXPECT_FALSE(
+      FaultPlan().SlowWorker(0, kMaxFaultMicros + 1).Validate(1).ok());
+  EXPECT_TRUE(FaultPlan().SlowWorker(0, kMaxFaultMicros).Validate(1).ok());
 }
 
 TEST(FaultPlanTest, ValidateChecksTargetsAndRates) {
@@ -595,7 +651,9 @@ TEST(ChaosTest, RandomFaultPlansAreExact) {
 // The same sweep under salvage recovery: every random plan — including the
 // crash + crash-during-recovery composites Random() generates — must
 // converge to bit-identical results when retries replay from the ledger
-// instead of re-running from scratch.
+// instead of re-running from scratch. The pattern query's leaves are
+// counted in bulk into each task's scratch count (DESIGN.md §8 "Leaf
+// batches"), so it checks that count commits and discards with its task.
 TEST(SalvageChaosTest, RandomFaultPlansAreExact) {
   int num_seeds = 12;
   if (const char* env = std::getenv("FRACTAL_CHAOS_SEEDS")) {
@@ -612,6 +670,9 @@ TEST(SalvageChaosTest, RandomFaultPlansAreExact) {
   baseline.network.latency_micros = 1;
   const MotifsResult clean_motifs = CountMotifs(graph, 3, baseline);
   const uint64_t clean_cliques = CountCliques(graph, 4, baseline);
+  const uint64_t clean_diamonds =
+      CountQueryMatches(graph, SeedQuery(3), baseline);
+  ASSERT_GT(clean_diamonds, 0u);
 
   for (int seed = 1; seed <= num_seeds; ++seed) {
     ExecutionConfig chaotic = baseline;
@@ -630,6 +691,8 @@ TEST(SalvageChaosTest, RandomFaultPlansAreExact) {
     ASSERT_TRUE(motifs.execution.status.ok()) << motifs.execution.status;
     ExpectSameMotifs(motifs, clean_motifs);
     EXPECT_EQ(CountCliques(graph, 4, chaotic), clean_cliques);
+    EXPECT_EQ(CountQueryMatches(graph, SeedQuery(3), chaotic),
+              clean_diamonds);
   }
 }
 
