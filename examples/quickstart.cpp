@@ -3,7 +3,8 @@
 // The heart of the program mirrors the paper's 3-line cliques application
 // (Listing 2):
 //
-//   auto cliques = graph.VFractoid().Expand(1).Filter(isClique).Explore(k-1);
+//   auto cliques =
+//       graph.VFractoid().Expand(1).FilterBySize(isClique).Explore(k - 1);
 //   uint64_t count = cliques.CountSubgraphs();
 //
 // Build & run:  ./build/examples/quickstart

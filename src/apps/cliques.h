@@ -2,7 +2,9 @@
 // complete subgraphs. Two variants:
 //   * CliquesFractoid — the 3-line Listing 2 program: vertex-induced
 //     expansion with a local filter requiring the newest vertex to connect
-//     to every existing vertex;
+//     to every existing vertex. The filter reads only the vertex and edge
+//     counts (Fractoid::FilterBySize), so the last level counts cliques off
+//     the candidates' edge rows without pushing them;
 //   * OptimizedCliquesFractoid — Listing 7's custom KClist enumerator
 //     (Appendix B), which generates only clique-extending candidates.
 // Triangles = k = 3 (Appendix C).
@@ -15,7 +17,7 @@
 
 namespace fractal {
 
-/// Listing 2: expand(1).filter(clique check).explore(k-1).
+/// Listing 2: expand(1).filterBySize(clique check).explore(k-1).
 Fractoid CliquesFractoid(const FractalGraph& graph, uint32_t k);
 
 /// Listing 7: custom KClist subgraph enumerator, no filter needed.

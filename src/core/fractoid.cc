@@ -33,6 +33,16 @@ Fractoid Fractoid::Filter(LocalFilterFn filter) const {
   return derived;
 }
 
+Fractoid Fractoid::FilterBySize(SizeFilterFn filter) const {
+  FRACTAL_CHECK(filter != nullptr);
+  Fractoid derived = *this;
+  Primitive primitive;
+  primitive.kind = Primitive::Kind::kLocalFilter;
+  primitive.size_filter = filter;
+  derived.primitives_.push_back(std::move(primitive));
+  return derived;
+}
+
 Fractoid Fractoid::WithAggregationFilter(const std::string& name,
                                          AggregationFilterFn filter) const {
   Fractoid derived = *this;

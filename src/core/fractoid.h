@@ -38,6 +38,13 @@ class Fractoid {
   /// W3: appends a local filter (F) primitive.
   Fractoid Filter(LocalFilterFn filter) const;
 
+  /// W3 on counts only: appends a local filter that sees just the
+  /// subgraph's vertex and edge counts (Listing 2's clique test). When only
+  /// such filters follow a step's last E and nothing reads the leaves, the
+  /// step judges each leaf candidate off its edge row and counts it without
+  /// pushing it (DESIGN.md §8 "Leaf batches").
+  Fractoid FilterBySize(SizeFilterFn filter) const;
+
   /// W4: appends an aggregation-reading filter (a synchronization point).
   /// The typed predicate receives the completed aggregation previously
   /// registered under `name` (the nearest preceding Aggregate call).

@@ -110,24 +110,35 @@ FractoidStepTask::FractoidStepTask(
     states_.push_back(std::move(s));
   }
   // What the last E-level does with its candidates (DESIGN.md §8 "Leaf
-  // batches"): count them when the step ends there and no one reads them,
-  // or count them per quick pattern when a counting storage is all that
-  // follows and the strategy's rows and one edge label fix the pattern.
+  // batches"): count them when the step ends there, or ends in size filters
+  // the edge rows can answer, and no one reads them; or count them per
+  // quick pattern when a counting storage is all that follows and the
+  // strategy's rows and one edge label fix the pattern.
   uint32_t leaf_next = 0;  // the primitive after the last E
   for (uint32_t i = 0; i < plan_.end; ++i) {
     if (workflow[i].kind == Primitive::Kind::kExpand) leaf_next = i + 1;
   }
-  if (leaf_next == plan_.end) {
+  uint32_t leaf_end = leaf_next;  // past the size filters that trail it
+  while (leaf_end < plan_.end &&
+         workflow[leaf_end].kind == Primitive::Kind::kLocalFilter &&
+         workflow[leaf_end].size_filter != nullptr) {
+    ++leaf_end;
+  }
+  const bool rows_count_edges =
+      strategy_.WordOrderedRows() && num_levels_ <= 64;
+  if (leaf_end == plan_.end && (leaf_end == leaf_next || rows_count_edges)) {
     if (!is_final_ || (sink_ == nullptr && !config_.collect_subgraphs)) {
       leaf_fold_ = LeafFold::kCount;
+      for (uint32_t i = leaf_next; i < leaf_end; ++i) {
+        leaf_size_filters_.push_back(workflow[i].size_filter);
+      }
     }
   } else if (leaf_next + 1 == plan_.end &&
              workflow[leaf_next].kind == Primitive::Kind::kAggregate &&
              storage_slots_[leaf_next] >= 0 && !states_.empty() &&
              states_[0]->storages[storage_slots_[leaf_next]]
                  ->CountsByPattern() &&
-             strategy_.WordOrderedRows() &&
-             graph_.UniformEdgeLabel().has_value() && num_levels_ <= 64) {
+             rows_count_edges && graph_.UniformEdgeLabel().has_value()) {
     leaf_fold_ = LeafFold::kCountByPattern;
     leaf_slot_ = storage_slots_[leaf_next];
   }
@@ -346,9 +357,13 @@ FRACTAL_HOT void FractoidStepTask::LeafBatch(
     std::span<const uint32_t> extensions, std::span<const EdgeId> rows) {
   switch (leaf_fold_) {
     case LeafFold::kCount: {
-      // SinkVisit's accounting, n candidates at a time.
+      // SinkVisit's accounting, n passing candidates at a time.
       uint64_t n = 0;
-      while (n < extensions.size() && t.ConsumeWorkUnit()) ++n;
+      if (leaf_size_filters_.empty()) {
+        while (n < extensions.size() && t.ConsumeWorkUnit()) ++n;
+      } else {
+        n = CountSizeFilteredLeaves(t, s.subgraph, extensions.size(), rows);
+      }
       t.stats.subgraphs_visited += n;
       if (is_final_) {
         (t.lineage != nullptr ? s.task_count : s.local_count) += n;
@@ -371,6 +386,41 @@ FRACTAL_HOT void FractoidStepTask::LeafBatch(
     Process(t, s, next_index);
     strategy_.Undo(graph_, &s.subgraph);
   }
+}
+
+FRACTAL_HOT uint64_t FractoidStepTask::CountSizeFilteredLeaves(
+    ThreadContext& t, const Subgraph& prefix, size_t num_candidates,
+    std::span<const EdgeId> rows) {
+  const size_t width = rows.size() / num_candidates;
+  FRACTAL_DCHECK(width == prefix.NumVertices() && width < 64);
+  // With word-ordered rows and a vertex-induced push, a candidate brings
+  // exactly its row's non-kNoEdge entries as edges, so every candidate has
+  // the same vertex count and one of width + 1 edge counts. Bit e of
+  // `judged` says whether a leaf with edges_before + e edges has been put
+  // to the filters yet, bit e of `verdicts` whether it passed them all.
+  const uint32_t num_vertices = prefix.NumVertices() + 1;
+  const uint32_t edges_before = prefix.NumEdges();
+  uint64_t judged = 0;
+  uint64_t verdicts = 0;
+  uint64_t n = 0;
+  for (size_t i = 0; i < num_candidates; ++i) {
+    if (!t.ConsumeWorkUnit()) break;
+    const EdgeId* row = rows.data() + i * width;
+    uint32_t edges = 0;
+    for (size_t q = 0; q < width; ++q) edges += row[q] != kNoEdge;
+    if (((judged >> edges) & 1) == 0) {
+      FRACTAL_HOT_ESCAPE(
+          "user size filter: at most width+1 calls per leaf batch");
+      bool pass = true;
+      for (const SizeFilterFn filter : leaf_size_filters_) {
+        pass = pass && filter(num_vertices, edges_before + edges);
+      }
+      judged |= uint64_t{1} << edges;
+      verdicts |= uint64_t{pass} << edges;
+    }
+    n += (verdicts >> edges) & 1;
+  }
+  return n;
 }
 
 FRACTAL_HOT void FractoidStepTask::CountLeavesByPattern(
@@ -483,7 +533,14 @@ void FractoidStepTask::Process(ThreadContext& t, CoreState& s,
     }
     case Primitive::Kind::kLocalFilter: {
       bool pass;
-      {
+      if (primitive.size_filter != nullptr) {
+        // A plain function of two counts: nothing captured, so no Allow
+        // scope, and the armed AllocGuard still sees it.
+        FRACTAL_HOT_ESCAPE(
+            "user size filter: a capture-free function of two counts");
+        pass = primitive.size_filter(s.subgraph.NumVertices(),
+                                     s.subgraph.NumEdges());
+      } else {
         // User-supplied filter: application code may allocate; audited as
         // outside the system's allocation discipline.
         AllocGuard::Allow allow("user local-filter callback");

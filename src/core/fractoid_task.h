@@ -101,7 +101,8 @@ class FractoidStepTask : public StepTask {
   /// batches"). Chosen once per step attempt.
   enum class LeafFold {
     kVisit,           // push each candidate and run the rest of the step
-    kCount,           // the step ends at the leaf: count the candidates
+    kCount,           // the step ends at the leaf, or in size filters
+                      // the edge rows answer: count the passing candidates
     kCountByPattern,  // only a CountByPattern storage follows: count per
                       // (adjacency mask, vertex label) group
   };
@@ -116,6 +117,15 @@ class FractoidStepTask : public StepTask {
                              uint32_t next_index,
                              std::span<const uint32_t> extensions,
                              std::span<const EdgeId> rows);
+  /// LeafFold::kCount behind size filters: consumes one work unit per
+  /// candidate and returns how many pass leaf_size_filters_, judged by the
+  /// edge count the candidate's row adds to `prefix`. Calls the filters at
+  /// most once per edge count seen: width + 1 times per batch at most, and
+  /// never more often than visiting the candidates would.
+  FRACTAL_HOT uint64_t CountSizeFilteredLeaves(ThreadContext& t,
+                                               const Subgraph& prefix,
+                                               size_t num_candidates,
+                                               std::span<const EdgeId> rows);
   /// LeafFold::kCountByPattern: pushes one representative per group,
   /// canonicalizes it once and adds the group's size to its slot.
   FRACTAL_HOT void CountLeavesByPattern(ThreadContext& t, CoreState& s,
@@ -173,6 +183,8 @@ class FractoidStepTask : public StepTask {
   std::vector<uint32_t> new_aggregates_;
   LeafFold leaf_fold_ = LeafFold::kVisit;
   int32_t leaf_slot_ = -1;  // the storage slot kCountByPattern counts into
+  // The size filters after the last E that kCount judges off the rows.
+  std::vector<SizeFilterFn> leaf_size_filters_;
 
   std::vector<std::unique_ptr<CoreState>> states_;  // by global core id
 };

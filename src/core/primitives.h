@@ -18,6 +18,12 @@ class Computation;
 /// Local filter predicate (W3): keep the subgraph iff true.
 using LocalFilterFn = std::function<bool(const Subgraph&, Computation&)>;
 
+/// Local filter on counts only (W3): keep the subgraph iff true, given
+/// nothing but its vertex and edge counts. A plain function pointer, so it
+/// captures no state, and a step may judge leaf candidates off their edge
+/// rows without pushing them (DESIGN.md §8 "Leaf batches").
+using SizeFilterFn = bool (*)(uint32_t num_vertices, uint32_t num_edges);
+
 /// Aggregation filter predicate (W4): receives the completed upstream
 /// aggregation result (type-erased; typed wrappers downcast).
 using AggregationFilterFn = std::function<bool(
@@ -33,8 +39,9 @@ struct Primitive {
 
   Kind kind = Kind::kExpand;
 
-  // kLocalFilter
+  // kLocalFilter: exactly one of the two is set.
   LocalFilterFn local_filter;
+  SizeFilterFn size_filter = nullptr;
 
   // kAggregationFilter
   std::string source_name;        // aggregation name this filter reads

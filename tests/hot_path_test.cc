@@ -1,14 +1,15 @@
 // End-to-end check of the hot-path allocation discipline (DESIGN.md §9):
 // after the per-step warm-up, full-cluster runs of the vertex-induced,
 // edge-induced, KClist and pattern-induced strategies, of Listing 2's
-// triangles, of SEED q2/q6 and of motif counting through the two counted
-// leaves, and of FSM's in-place MNI domains, perform ZERO heap allocations
-// in their steady-state DFS regions — edge rows included. FractoidStepTask arms an AllocGuard around each
-// extension once a thread has consumed AllocGuard::warmup_units() work units
-// in the step; these tests crank the global mode to kCount (assert the
-// observed total is zero) and kAbort (completing at all is the assertion),
-// and pin the ScratchArena's amortization story: pool misses depend on the
-// DFS shape, not on how much work flows through it.
+// triangles and 4-cliques, of SEED q2/q6 and of motif counting through the
+// two counted leaves, and of FSM's in-place MNI domains, perform ZERO heap
+// allocations in their steady-state DFS regions — edge rows included.
+// FractoidStepTask arms an AllocGuard around each extension once a thread
+// has consumed AllocGuard::warmup_units() work units in the step; these
+// tests crank the global mode to kCount (assert the observed total is zero)
+// and kAbort (completing at all is the assertion), and pin the
+// ScratchArena's amortization story: pool misses depend on the DFS shape,
+// not on how much work flows through it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -227,6 +228,49 @@ TEST_F(HotPathTest, TrianglesCompleteUnderAbortMode) {
 
   AllocGuard::SetGlobalMode(AllocGuard::Mode::kAbort);
   const uint64_t aborted_mode = RunTriangles(g, SmallCluster());
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  EXPECT_EQ(aborted_mode, expected);
+}
+
+// Listing 2's 4-cliques: behind the last expansion only the clique size
+// filter follows, so each leaf batch judges its candidates by the edges
+// their rows add and counts the cliques without pushing them (DESIGN.md §8
+// "Leaf batches"). The interior levels still push, filter and steal.
+uint64_t RunFourCliques(const Graph& g, const ExecutionConfig& config) {
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  return CountCliques(graph, 4, config);
+}
+
+TEST_F(HotPathTest, FourCliquesAreAllocationFreeUnderCountMode) {
+  const Graph g = TriangleGraph();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const uint64_t expected = RunFourCliques(g, SmallCluster());
+  ASSERT_GT(expected, 0u);
+
+  const uint64_t work_before = obs::WorkUnitsCounter().Value();
+  const uint64_t guarded_before = AllocGuard::TotalGuardedAllocations();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kCount);
+  const uint64_t counted = RunFourCliques(g, SmallCluster());
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const uint64_t guarded = AllocGuard::TotalGuardedAllocations() -
+                           guarded_before;
+  const uint64_t work = obs::WorkUnitsCounter().Value() - work_before;
+
+  EXPECT_EQ(counted, expected);
+  // Each of the 4 threads well past warm-up, so the guards arm.
+  ASSERT_GT(work, 4 * 4 * AllocGuard::warmup_units());
+  EXPECT_EQ(guarded, 0u)
+      << "steady-state heap allocations on the 4-clique path";
+}
+
+TEST_F(HotPathTest, FourCliquesCompleteUnderAbortMode) {
+  const Graph g = TriangleGraph();
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
+  const uint64_t expected = RunFourCliques(g, SmallCluster());
+
+  AllocGuard::SetGlobalMode(AllocGuard::Mode::kAbort);
+  const uint64_t aborted_mode = RunFourCliques(g, SmallCluster());
   AllocGuard::SetGlobalMode(AllocGuard::Mode::kOff);
   EXPECT_EQ(aborted_mode, expected);
 }

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -18,6 +19,7 @@
 #include "apps/motifs.h"
 #include "apps/queries.h"
 #include "baselines/single_thread.h"
+#include "enumerate/sampling.h"
 #include "graph/generators.h"
 #include "graph/graph_reduce.h"
 #include "pattern/canonical.h"
@@ -619,7 +621,7 @@ std::map<Pattern, uint64_t> Ordered(const Map& counts) {
 }
 
 void ExpectLeafMotifsMatchOracles(const Graph& g, uint32_t k) {
-  SCOPED_TRACE("k=" + std::to_string(k));
+  SCOPED_TRACE(testing::Message() << "k=" << k);
   FractalContext fctx;
   FractalGraph graph = fctx.FromGraph(Graph(g));
   const MotifsResult result = CountMotifs(graph, k, LeafCluster());
@@ -675,12 +677,12 @@ TEST_P(SeededProperty, CountedLeafQueriesAndCliquesMatchBruteForce) {
   FractalContext fctx;
   FractalGraph graph = fctx.FromGraph(Graph(g));
   for (uint32_t q = 1; q <= 8; ++q) {
-    SCOPED_TRACE("q" + std::to_string(q));
+    SCOPED_TRACE(testing::Message() << "q" << q);
     EXPECT_EQ(CountQueryMatches(graph, SeedQuery(q), LeafCluster()),
               brute::CountPatternMatches(g, SeedQuery(q)));
   }
   for (uint32_t k = 3; k <= 4; ++k) {
-    SCOPED_TRACE("k=" + std::to_string(k));
+    SCOPED_TRACE(testing::Message() << "k=" << k);
     EXPECT_EQ(CountCliquesOptimized(graph, k, LeafCluster()),
               brute::CountCliques(g, k));
     EXPECT_EQ(graph.VFractoid().Expand(k).CountSubgraphs(LeafCluster()),
@@ -697,7 +699,7 @@ TEST_P(SeededProperty, LeavesAreVisitedWhenSomeoneReadsThem) {
   FractalContext fctx;
   FractalGraph graph = fctx.FromGraph(Graph(g));
   for (const uint32_t q : {2u, 3u, 6u}) {
-    SCOPED_TRACE("q" + std::to_string(q));
+    SCOPED_TRACE(testing::Message() << "q" << q);
     const Pattern query = SeedQuery(q);
     const uint64_t expected = brute::CountPatternMatches(g, query);
     ASSERT_GT(expected, 0u);
@@ -730,6 +732,229 @@ TEST_P(SeededProperty, LeavesAreVisitedWhenSomeoneReadsThem) {
       std::sort(edges.begin(), edges.end());
       EXPECT_TRUE(distinct.insert(edges).second) << match.ToString();
     }
+  }
+}
+
+// --- Size filters (Fractoid::FilterBySize) ---------------------------------
+// Listing 2's clique test reads only the vertex and edge counts. When only
+// such filters follow a step's last E and nothing reads the leaves, a
+// strategy with word-ordered rows judges each leaf candidate by the edges
+// its row adds and counts it without pushing it; other strategies, sinks
+// and collection visit each leaf. The counted filters below tally their
+// calls, which tells the two paths apart: the fold calls a filter once per
+// edge count it meets in a leaf batch, a visit once per leaf.
+
+std::atomic<uint64_t> size_filter_calls{0};
+
+bool IsCliqueSize(uint32_t num_vertices, uint32_t num_edges) {
+  size_filter_calls.fetch_add(1, std::memory_order_relaxed);
+  return num_edges == num_vertices * (num_vertices - 1) / 2;
+}
+
+bool AtLeastFourEdges(uint32_t, uint32_t num_edges) {
+  size_filter_calls.fetch_add(1, std::memory_order_relaxed);
+  return num_edges >= 4;
+}
+
+bool AtMostFiveEdges(uint32_t, uint32_t num_edges) {
+  size_filter_calls.fetch_add(1, std::memory_order_relaxed);
+  return num_edges <= 5;
+}
+
+bool AtMostFourVertices(uint32_t num_vertices, uint32_t) {
+  return num_vertices <= 4;
+}
+
+/// `filter` as an opaque Filter: the same test, but the step must visit.
+LocalFilterFn Opaque(SizeFilterFn filter) {
+  return [filter](const Subgraph& subgraph, Computation&) {
+    return filter(subgraph.NumVertices(), subgraph.NumEdges());
+  };
+}
+
+struct FilteredRun {
+  uint64_t count = 0;
+  uint64_t work_units = 0;
+  uint64_t extension_tests = 0;
+  uint64_t filter_calls = 0;
+};
+
+FilteredRun RunFiltered(const Fractoid& fractoid) {
+  size_filter_calls = 0;
+  const ExecutionResult result = fractoid.Execute(LeafCluster());
+  EXPECT_TRUE(result.status.ok()) << result.status;
+  return {result.num_subgraphs, result.telemetry.TotalWorkUnits(),
+          result.telemetry.TotalExtensionTests(), size_filter_calls.load()};
+}
+
+/// The folded and the visited program agree on every deterministic count.
+void ExpectSameRun(const FilteredRun& folded, const FilteredRun& visited) {
+  EXPECT_EQ(folded.count, visited.count);
+  EXPECT_EQ(folded.work_units, visited.work_units);
+  EXPECT_EQ(folded.extension_tests, visited.extension_tests);
+}
+
+void ExpectListingTwoCliques(const Graph& g, uint32_t k, bool brute_force) {
+  SCOPED_TRACE(testing::Message() << "k=" << k);
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  const uint64_t expected = baselines::TunedCliqueCount(g, k);
+  if (brute_force) {
+    EXPECT_EQ(brute::CountCliques(g, k), expected);
+  }
+  EXPECT_EQ(CountCliques(graph, k, LeafCluster()), expected);
+
+  const Fractoid level = graph.VFractoid().Expand(1);
+  const FilteredRun folded =
+      RunFiltered(level.FilterBySize(&IsCliqueSize).Explore(k - 1));
+  const FilteredRun visited =
+      RunFiltered(level.Filter(Opaque(&IsCliqueSize)).Explore(k - 1));
+  EXPECT_EQ(folded.count, expected);
+  ExpectSameRun(folded, visited);
+  // Edges and triangles: the leaf batches hold many more candidates than
+  // the edge counts their prefix allows, so the fold calls the filter
+  // less often than visiting does. Deeper, a batch may be too small.
+  if (k == 2 || k == 3) {
+    EXPECT_LT(folded.filter_calls, visited.filter_calls);
+  } else {
+    EXPECT_LE(folded.filter_calls, visited.filter_calls);
+  }
+}
+
+TEST_P(SeededProperty, ListingTwoCliquesMatchBruteForce) {
+  // Dense enough (p ~ 0.56) for 6-cliques.
+  const Graph g = GenerateRandomGraph(22, 130, 1, 1, GetParam());
+  for (uint32_t k = 1; k <= 6; ++k) ExpectListingTwoCliques(g, k, true);
+  ASSERT_GT(brute::CountCliques(g, 5), 0u);
+  // The hub's candidates arrive through the bitmap filters. Brute force
+  // over 80 vertices stops at k = 4; TunedCliqueCount covers the rest.
+  const Graph hub = RandomGraphWithHub(400, GetParam(), 1, 1);
+  ASSERT_GT(hub.NumHubs(), 0u);
+  for (uint32_t k = 1; k <= 6; ++k) ExpectListingTwoCliques(hub, k, k <= 4);
+  ASSERT_GT(baselines::TunedCliqueCount(hub, 5), 0u);
+}
+
+TEST_P(SeededProperty, TrailingSizeFiltersCountInducedShapes) {
+  // Two trailing filters whose verdicts pass a middle band of edge counts:
+  // connected induced 4-vertex subgraphs with 4 or 5 edges.
+  const Graph g = GenerateRandomGraph(22, 70, 2, 1, GetParam());
+  uint64_t expected = 0;
+  for (const auto& [pattern, count] : brute::MotifCounts(g, 4)) {
+    if (pattern.NumEdges() >= 4 && pattern.NumEdges() <= 5) expected += count;
+  }
+  ASSERT_GT(expected, 0u);
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  const Fractoid shapes = graph.VFractoid().Expand(4);
+  const FilteredRun folded = RunFiltered(shapes.FilterBySize(&AtLeastFourEdges)
+                                             .FilterBySize(&AtMostFiveEdges));
+  const FilteredRun visited =
+      RunFiltered(shapes.Filter(Opaque(&AtLeastFourEdges))
+                      .Filter(Opaque(&AtMostFiveEdges)));
+  EXPECT_EQ(folded.count, expected);
+  ExpectSameRun(folded, visited);
+  EXPECT_LT(folded.filter_calls, visited.filter_calls);
+}
+
+TEST_P(SeededProperty, SampledCliquesTakeTheFold) {
+  // SamplingStrategy drops candidates with their rows and forwards its
+  // base's row shape, so sampled vertex-induced leaves fold too. Sampling
+  // is a deterministic hash of (prefix, candidate): both programs keep the
+  // same subgraphs.
+  const Graph g = GenerateRandomGraph(22, 130, 1, 1, GetParam());
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  const Fractoid level =
+      graph
+          .CustomFractoid(std::make_shared<SamplingStrategy>(
+              std::make_shared<VertexInducedStrategy>(), 0.7, GetParam()))
+          .Expand(1);
+  for (uint32_t k = 3; k <= 4; ++k) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    const FilteredRun folded =
+        RunFiltered(level.FilterBySize(&IsCliqueSize).Explore(k - 1));
+    const FilteredRun visited =
+        RunFiltered(level.Filter(Opaque(&IsCliqueSize)).Explore(k - 1));
+    ASSERT_GT(folded.count, 0u);
+    EXPECT_LT(folded.count, brute::CountCliques(g, k));
+    ExpectSameRun(folded, visited);
+    EXPECT_LT(folded.filter_calls, visited.filter_calls);
+  }
+}
+
+TEST_P(SeededProperty, EdgeInducedSizeFiltersVisitEachLeaf) {
+  // Edge-induced rows are not word-ordered, so trailing size filters keep
+  // the visit path. Triangles are the 3-edge sets on three vertices;
+  // 4-cliques the 6-edge sets on four, with every level capped at four
+  // vertices to keep the enumeration small.
+  const Graph g = GenerateRandomGraph(16, 50, 1, 1, GetParam());
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  const FilteredRun triangles =
+      RunFiltered(graph.EFractoid().Expand(3).FilterBySize(&IsCliqueSize));
+  EXPECT_EQ(triangles.count, brute::CountCliques(g, 3));
+  EXPECT_EQ(triangles.filter_calls, brute::CountConnectedEdgeSets(g, 3));
+
+  const Fractoid capped = graph.EFractoid().Expand(1);
+  const FilteredRun folded =
+      RunFiltered(capped.FilterBySize(&AtMostFourVertices)
+                      .Explore(5)
+                      .FilterBySize(&IsCliqueSize));
+  const FilteredRun visited =
+      RunFiltered(capped.Filter(Opaque(&AtMostFourVertices))
+                      .Explore(5)
+                      .Filter(Opaque(&IsCliqueSize)));
+  EXPECT_EQ(folded.count, brute::CountCliques(g, 4));
+  ExpectSameRun(folded, visited);
+  EXPECT_EQ(folded.filter_calls, visited.filter_calls);
+}
+
+TEST_P(SeededProperty, CliqueSinksAndCollectionVisitEveryClique) {
+  // A sink or collect_subgraphs reads every clique, so Listing 2's leaves
+  // are pushed and visited even behind a size filter.
+  const Graph g = GenerateRandomGraph(22, 130, 1, 1, GetParam());
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(Graph(g));
+  for (uint32_t k = 3; k <= 4; ++k) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    const uint64_t expected = brute::CountCliques(g, k);
+    ASSERT_GT(expected, 0u);
+    const uint32_t clique_edges = k * (k - 1) / 2;
+
+    std::mutex mu;
+    std::set<std::vector<VertexId>> sunk;
+    uint64_t wrong = 0;
+    uint64_t duplicates = 0;
+    const uint64_t counted = CliquesFractoid(graph, k).ForEachSubgraph(
+        [&](const Subgraph& clique) {
+          std::vector<VertexId> vertices(clique.Vertices().begin(),
+                                         clique.Vertices().end());
+          std::sort(vertices.begin(), vertices.end());
+          const std::lock_guard<std::mutex> lock(mu);
+          if (clique.NumVertices() != k || clique.NumEdges() != clique_edges) {
+            ++wrong;
+          }
+          if (!sunk.insert(std::move(vertices)).second) ++duplicates;
+        },
+        LeafCluster());
+    EXPECT_EQ(counted, expected);
+    EXPECT_EQ(sunk.size(), expected);
+    EXPECT_EQ(wrong, 0u);
+    EXPECT_EQ(duplicates, 0u);
+
+    const std::vector<Subgraph> collected =
+        CliquesFractoid(graph, k).CollectSubgraphs(LeafCluster());
+    EXPECT_EQ(collected.size(), expected);
+    std::set<std::vector<VertexId>> distinct;
+    for (const Subgraph& clique : collected) {
+      ASSERT_EQ(clique.NumVertices(), k);
+      EXPECT_EQ(clique.NumEdges(), clique_edges);
+      std::vector<VertexId> vertices(clique.Vertices().begin(),
+                                     clique.Vertices().end());
+      std::sort(vertices.begin(), vertices.end());
+      EXPECT_TRUE(distinct.insert(vertices).second) << clique.ToString();
+    }
+    EXPECT_EQ(distinct, sunk);
   }
 }
 

@@ -503,6 +503,52 @@ TEST(SalvageTest, SalvagedMotifsAndCliquesBitExact) {
   }
 }
 
+// A crash inside a counted leaf batch (DESIGN.md §8 "Leaf batches"). The
+// graph is K_20 without the edge (10, 13); with one thread per worker and
+// no external stealing, worker 1 drains roots 10..19 in order: unit 1 is
+// root 10, unit 2 its first extension 11, and units 3..10 the leaf batch of
+// {10, 11}: candidates 12 and 14..19, which close triangles, then 13,
+// which the clique filter rejects. Every plan below crashes worker 1 inside
+// that batch, after it has judged some candidates off their rows, and both
+// retry modes must still count every triangle exactly once.
+TEST(SalvageTest, CrashInsideCountedTriangleLeafBatchIsExact) {
+  GraphBuilder builder;
+  constexpr uint32_t kVertices = 20;
+  for (uint32_t v = 0; v < kVertices; ++v) builder.AddVertex(0);
+  for (VertexId u = 0; u < kVertices; ++u) {
+    for (VertexId v = u + 1; v < kVertices; ++v) {
+      if (u != 10 || v != 13) builder.AddEdge(u, v);
+    }
+  }
+  FractalContext fctx;
+  FractalGraph graph = fctx.FromGraph(std::move(builder).Build());
+  ExecutionConfig healthy;
+  healthy.num_workers = 2;
+  healthy.threads_per_worker = 1;
+  healthy.external_work_stealing = false;
+  healthy.network.latency_micros = 1;
+  // C(20, 3) triangles less the 18 through the missing edge.
+  const uint64_t clean = CountTriangles(graph, healthy);
+  ASSERT_EQ(clean, 1140u - 18u);
+
+  for (const auto mode :
+       {RetryPolicy::Mode::kFromScratch, RetryPolicy::Mode::kSalvage}) {
+    for (const uint64_t after : {4u, 7u, 10u}) {
+      ExecutionConfig faulty = healthy;
+      faulty.retry.mode = mode;
+      faulty.fault_plan = FaultPlan().CrashWorker(1, after);
+      SCOPED_TRACE(testing::Message()
+                   << "salvage=" << (mode == RetryPolicy::Mode::kSalvage)
+                   << " plan '" << faulty.fault_plan.ToString() << "'");
+      const ExecutionResult result =
+          CliquesFractoid(graph, 3).Execute(faulty);
+      ASSERT_TRUE(result.status.ok()) << result.status;
+      EXPECT_EQ(result.steps_retried, 1u);
+      EXPECT_EQ(result.num_subgraphs, clean);
+    }
+  }
+}
+
 // FSM under salvage: replayed tasks fold their embeddings into task-scratch
 // MNI domains that commit into the thread's by set union, so the supports
 // must come out exactly as in a fault-free run whatever was replayed where.
